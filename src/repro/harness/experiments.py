@@ -19,7 +19,8 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.apps.metum import MetumBenchmark
+import numpy as np
+
 from repro.analysis.stats import SectionStats, render_stats_table
 from repro.errors import ConfigError
 from repro.harness import paper
@@ -29,7 +30,7 @@ from repro.harness.figures import (
     render_speedup_plot,
 )
 from repro.harness.parallel import Cell, run_cells
-from repro.ipm.report import fig7_breakdown, render_fig7_ascii
+from repro.ipm.report import render_breakdown_ascii
 from repro.platforms import DCC, EC2, VAYU, platform_table
 
 
@@ -135,8 +136,6 @@ def exp_fig2(
     )
     # Fluctuation check: coefficient of variation of DCC's sub-eager
     # latencies after removing the size trend (vs Vayu's).
-    import numpy as np
-
     def _smallmsg_cv(curve: dict[int, float]) -> float:
         vals = np.array([v for n, v in sorted(curve.items()) if n <= 65536])
         base = vals.min()
@@ -363,7 +362,7 @@ def exp_tab3(
     quick: bool = True, seed: int = 0, jobs: int = 1,
     sim_iters: int | None = None,
 ) -> ExperimentOutput:
-    """Table III: UM statistics at 32 cores."""
+    """Table III: UM statistics at 32 cores (fig6's p=32 runs)."""
     sim_steps = 2 if quick else 3
 
     def _nn(label: str, nodes: int | None) -> int | None:
@@ -372,7 +371,7 @@ def exp_tab3(
         return nodes
 
     cells = [
-        Cell((label,), "metum_stats",
+        Cell((label,), "metum_point",
              (spec.name, 32, _nn(label, nodes), seed, sim_steps))
         for label, spec, nodes in _um_variants()
     ]
@@ -385,7 +384,7 @@ def exp_tab3(
         r = points[(label,)]
         stats = SectionStats(
             platform=label,
-            time=r["time"],
+            time=r["total_time"],
             rcomp=r["comp"] / ref_comp,
             rcomm=r["comm"] / ref_comm if ref_comm > 0 else 0.0,
             comm_percent=r["comm_percent"],
@@ -410,16 +409,20 @@ def exp_fig7(
     quick: bool = True, seed: int = 0, jobs: int = 1,
     sim_iters: int | None = None,
 ) -> ExperimentOutput:
-    """Fig 7: per-process ATM_STEP breakdown on Vayu and DCC."""
-    bench = MetumBenchmark(sim_steps=2 if quick else 3)
+    """Fig 7: per-process ATM_STEP breakdown on Vayu and DCC at 32 cores."""
+    sim_steps = 2 if quick else 3
+    cells = [
+        Cell((spec.name,), "metum_point", (spec.name, 32, None, seed, sim_steps))
+        for spec in (VAYU, DCC)
+    ]
+    points = run_cells(cells, jobs=jobs)
     sections = []
     data = {}
     for spec in (VAYU, DCC):
-        r = bench.run(spec, 32, seed=seed)
-        parts = fig7_breakdown(r.monitor, "ATM_STEP")
-        data[spec.name] = parts
+        parts = points[(spec.name,)]["breakdown"]
+        data[spec.name] = {key: np.asarray(values) for key, values in parts.items()}
         sections.append(f"--- {spec.name} ---")
-        sections.append(render_fig7_ascii(r.monitor, "ATM_STEP", width=40))
+        sections.append(render_breakdown_ascii(parts, "ATM_STEP", width=40))
     dcc = data["DCC"]
     vayu = data["Vayu"]
     comm_dcc = dcc["comm_user"] + dcc["comm_system"]

@@ -21,10 +21,20 @@ changing it from the caller's point of view: when a
 :func:`repro.harness.supervisor.supervision_scope` is active — or
 ``REPRO_SUPERVISE=1`` is set — :func:`run_cells` routes through the
 supervisor and still returns the same ``{key: result}`` mapping.
+
+Because workers are deterministic, two cells with one *content address*
+— the worker name plus its typed-encoded arguments — compute the same
+value.  :func:`run_cells` therefore runs each distinct address once per
+call, and inside a :func:`batch_scope` (which ``run_batch`` installs) at
+most once per batch: a later sweep that needs an address an earlier
+sweep already computed is served from the batch's table before it
+reaches supervision, the store or an executor.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 import os
 import tempfile
@@ -32,6 +42,7 @@ import typing as _t
 from concurrent.futures import as_completed
 
 from repro.errors import CellExecutionError, ConfigError
+from repro.harness.journal import payload_hash
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -220,10 +231,42 @@ def _collect(
     return fresh
 
 
+#: Results of the cells run so far in the current batch, by content
+#: address (:func:`~repro.harness.journal.payload_hash`: the worker and
+#: its typed-encoded args, so ``1``, ``1.0`` and ``True`` stay distinct;
+#: no code fingerprint, because code cannot change within one process).
+#: Installed by :func:`batch_scope`; ``None`` outside a batch.
+_BATCH_RESULTS: contextvars.ContextVar[dict[str, _t.Any] | None] = (
+    contextvars.ContextVar("repro_batch_results", default=None)
+)
+
+
+@contextlib.contextmanager
+def batch_scope() -> _t.Iterator[None]:
+    """Share cell results among every :func:`run_cells` call in the body.
+
+    The table lives exactly as long as the scope: one ``run_batch``
+    call.  A second batch in the same process starts empty, so it does
+    the same work as the first and is never served results it did not
+    compute itself.  Only successful results are recorded; a cell that
+    raised runs again when a later sweep needs it.
+    """
+    token = _BATCH_RESULTS.set({})
+    try:
+        yield
+    finally:
+        _BATCH_RESULTS.reset(token)
+
+
 def run_cells(
     cells: _t.Sequence[Cell], jobs: int = 1, executor: _t.Any = None
 ) -> dict[tuple, _t.Any]:
     """Execute ``cells`` and return ``{cell.key: result}`` in cell order.
+
+    Cells that share a content address (worker and typed-encoded args)
+    run once and every key gets that one (shared, read-only) result;
+    inside a :func:`batch_scope`, addresses an earlier sweep of the
+    batch already computed are not run at all.
 
     Cells are scheduled through a transport-agnostic
     :class:`~repro.harness.executor.CellExecutor`: pass one explicitly,
@@ -254,6 +297,28 @@ def run_cells(
     computed twice).  Served, awaited and fresh results merge by key in
     cell order, so a store-backed sweep renders byte-identically.
     """
+    cells = list(cells)
+    check_unique_keys(cells)
+    batch = _BATCH_RESULTS.get()
+    address = {c.key: payload_hash(c.worker, c.args) for c in cells}
+    distinct: dict[str, Cell] = {}
+    for c in cells:
+        a = address[c.key]
+        if (batch is None or a not in batch) and a not in distinct:
+            distinct[a] = c
+    fresh = _run_distinct(list(distinct.values()), jobs, executor) if distinct else {}
+    results = {a: fresh[c.key] for a, c in distinct.items()}
+    if batch is not None:
+        batch.update(results)
+        results = batch
+    return {c.key: results[address[c.key]] for c in cells}
+
+
+def _run_distinct(
+    cells: list[Cell], jobs: int, executor: _t.Any
+) -> dict[tuple, _t.Any]:
+    """Run cells with pairwise distinct addresses: supervised, store-aware
+    or plain, on the given, scoped or default executor."""
     from repro.harness import cellstore as _cellstore
     from repro.harness import executor as _executor
     from repro.harness import supervisor as _supervisor
@@ -261,8 +326,6 @@ def run_cells(
     supervised = _supervisor.supervised_results(cells, jobs, executor)
     if supervised is not None:
         return supervised
-    cells = list(cells)
-    check_unique_keys(cells)
     jobs = resolve_jobs(jobs)
 
     store = _cellstore.active_store()
@@ -383,35 +446,34 @@ def chaste_point(
 @cell_worker("metum_point")
 def metum_point(
     platform: str, nprocs: int, num_nodes: int | None, seed: int, sim_steps: int
-) -> dict[str, float]:
-    """One UM run: the 'warmed' (I/O-free steady) time."""
+) -> dict[str, _t.Any]:
+    """One UM run, reduced to everything Fig 6, Table III and Fig 7 read.
+
+    The 'warmed' (I/O-free steady) and total times, the Table-III
+    section statistics, and the per-process ``ATM_STEP`` breakdown as
+    plain float lists (one per Fig-7 part), so one run serves all three
+    artefacts and the payload survives the journal and store encoding.
+    """
     from repro.apps.metum import MetumBenchmark
-    from repro.platforms import get_platform
-
-    r = MetumBenchmark(sim_steps=sim_steps).run(
-        get_platform(platform), nprocs, num_nodes=num_nodes, seed=seed
-    )
-    return {"warmed_time": r.warmed_time, "total_time": r.total_time}
-
-
-@cell_worker("metum_stats")
-def metum_stats(
-    platform: str, nprocs: int, num_nodes: int | None, seed: int, sim_steps: int
-) -> dict[str, float]:
-    """One UM run reduced to the Table-III section statistics."""
-    from repro.apps.metum import MetumBenchmark
+    from repro.apps.metum.model import STEP_REGION
+    from repro.ipm.report import fig7_breakdown
     from repro.platforms import get_platform
 
     r = MetumBenchmark(sim_steps=sim_steps).run(
         get_platform(platform), nprocs, num_nodes=num_nodes, seed=seed
     )
     return {
-        "time": r.total_time,
+        "warmed_time": r.warmed_time,
+        "total_time": r.total_time,
         "comp": r.compute_time(),
         "comm": r.comm_time(),
         "comm_percent": r.comm_percent(),
         "imbalance_percent": r.imbalance_percent(),
         "io": r.io_time,
+        "breakdown": {
+            part: values.tolist()
+            for part, values in fig7_breakdown(r.monitor, STEP_REGION).items()
+        },
     }
 
 

@@ -136,6 +136,11 @@ def run_batch(
     over a process pool; results are merged by cell key, so the batch
     renders byte-identically to a serial run at the same seed.
 
+    Each distinct simulation runs at most once per batch: a cell whose
+    worker and arguments an earlier experiment already ran is served
+    from that result (see :func:`~repro.harness.parallel.batch_scope`),
+    inside the experiment that first needed it.
+
     ``sanitize=True`` runs every simulated world in the batch under the
     MPI sanitizer (:mod:`repro.analysis.sanitizer`): a correctness
     violation aborts the batch with a
@@ -209,23 +214,26 @@ def run_batch(
     if sim_iters is not None and sim_iters < 1:
         raise ConfigError(f"sim_iters must be >= 1: {sim_iters}")
 
+    from repro.harness.parallel import batch_scope
     from repro.harness.supervisor import cell_namespace
 
     cell_failures: dict[str, CellExecutionError] = {}
 
     def _run_all() -> dict[str, ExperimentOutput]:
         outputs: dict[str, ExperimentOutput] = {}
-        for eid in ids:
-            if progress is not None:
-                progress(eid)
-            with cell_namespace(eid):
-                try:
-                    outputs[eid] = run_experiment(
-                        eid, quick=quick, seed=seed, jobs=jobs, sim_iters=sim_iters
-                    )
-                except CellExecutionError as err:
-                    cell_failures[eid] = err
-                    outputs[eid] = _failed_output(eid, err)
+        with batch_scope():
+            for eid in ids:
+                if progress is not None:
+                    progress(eid)
+                with cell_namespace(eid):
+                    try:
+                        outputs[eid] = run_experiment(
+                            eid, quick=quick, seed=seed, jobs=jobs,
+                            sim_iters=sim_iters,
+                        )
+                    except CellExecutionError as err:
+                        cell_failures[eid] = err
+                        outputs[eid] = _failed_output(eid, err)
         return outputs
 
     def _run_sanitized() -> tuple[dict[str, ExperimentOutput], str]:

@@ -37,6 +37,7 @@ from repro.ipm.report import (
     IpmReport,
     comm_percent,
     fig7_breakdown,
+    render_breakdown_ascii,
     render_fig7_ascii,
     summarize,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "imbalance_irregularity",
     "imbalance_percent",
     "imbalance_profile",
+    "render_breakdown_ascii",
     "render_fig7_ascii",
     "summarize",
 ]

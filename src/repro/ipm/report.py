@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import typing as _t
 
 import numpy as np
 
@@ -119,14 +120,23 @@ def render_fig7_ascii(
     monitor: IpmMonitor, region: str = GLOBAL_REGION, width: int = 60
 ) -> str:
     """ASCII rendering of the Fig-7 per-process stacked bars."""
-    parts = fig7_breakdown(monitor, region)
+    return render_breakdown_ascii(fig7_breakdown(monitor, region), region, width)
+
+
+def render_breakdown_ascii(
+    parts: _t.Mapping[str, _t.Sequence[float]],
+    region: str = GLOBAL_REGION,
+    width: int = 60,
+) -> str:
+    """ASCII Fig-7 bars from a :func:`fig7_breakdown` (arrays or lists)."""
+    parts = {key: np.asarray(values, dtype=float) for key, values in parts.items()}
     totals = parts["compute"] + parts["comm_user"] + parts["comm_system"] + parts["io"]
     peak = totals.max() if totals.size else 0.0
     if peak <= 0:
         return "(no samples)"
     lines = [f"per-process time breakdown, region={region}"]
     lines.append("  rank |" + " bar (#=compute, u=comm user, s=comm system, i=io)")
-    for rank in range(monitor.nprocs):
+    for rank in range(totals.size):
         segs = []
         for label, key in (("#", "compute"), ("u", "comm_user"), ("s", "comm_system"), ("i", "io")):
             n = int(round(width * parts[key][rank] / peak))

@@ -221,6 +221,25 @@ class TestRunCellsIntegration:
         assert store.hits == 0 and store.misses == 3
         assert len(_CALLS) == 3  # all re-simulated, old entries ignored
 
+    def test_identical_cells_execute_once_without_self_await(
+        self, tmp_path, fake_fingerprints
+    ):
+        # Two keys with one (worker, args) share a content address and
+        # collapse before store planning, so the sweep never loses the
+        # second one's lease to itself and "awaits" it from no peer.
+        cells = [Cell(("a",), "cs_count", (4,)), Cell(("b",), "cs_count", (4,))]
+        with store_scope(tmp_path / "store") as store:
+            del _CALLS[:]
+            out = run_cells(cells, jobs=1)
+        assert _CALLS == [("cs_count", 4)]
+        assert out[("a",)] == out[("b",)] == {
+            "v": 16.0, "curve": {1: 2.0, 1024: 6.0}, "key": (4,)
+        }
+        assert store.banner() == (
+            "store: 1 lookup(s): 0 served, 1 executed, 1 published"
+        )
+        assert "awaited" not in store.banner()
+
     def test_env_var_activates_store(self, tmp_path, fake_fingerprints,
                                      monkeypatch):
         root = tmp_path / "envstore"
@@ -583,8 +602,15 @@ class TestExperimentByteIdentity:
         cold = run_batch(None, quick=True, seed=0, store=root)
         warm = run_batch(None, quick=True, seed=0, store=root)
         assert cold.render() == warm.render()
-        assert warm.store_summary is not None
-        assert "0 executed, 0 published" in warm.store_summary
+        # Each distinct simulation is looked up, run and published once
+        # per batch: 112 cells collapse to 84 content addresses, and no
+        # cell waits on a "peer" that is really this batch.
+        assert cold.store_summary == (
+            "store: 84 lookup(s): 0 served, 84 executed, 84 published"
+        )
+        assert warm.store_summary == (
+            "store: 84 lookup(s): 84 served, 0 executed, 0 published"
+        )
         # And against a no-store baseline, byte for byte.
         plain = run_batch(None, quick=True, seed=0)
         assert plain.render() == warm.render()

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.harness.experiments import EXPERIMENTS
-from repro.harness.parallel import Cell, cell_worker, resolve_jobs, run_cells
+from repro.errors import ConfigError, ReproError, SimulationError
+from repro.harness.experiments import EXPERIMENTS, ExperimentOutput
+from repro.harness.parallel import (
+    Cell,
+    batch_scope,
+    cell_worker,
+    resolve_jobs,
+    run_cells,
+)
 from repro.harness.runner import run_batch
 
 
@@ -86,6 +92,90 @@ def test_resolve_jobs_rejects_negative():
 
 def test_empty_cell_list():
     assert run_cells([], jobs=4) == {}
+
+
+# ---------------------------------------------------------------------------
+# Cell dedup: per call, and per batch under batch_scope
+# ---------------------------------------------------------------------------
+
+#: Inline executions of the counting workers below (jobs=1 runs in-process).
+_RUNS: list[tuple] = []
+#: Pending failures of ``test_fail_once``: each execution pops one.
+_ARMED: list[bool] = []
+
+
+@cell_worker("test_count")
+def _count(*args):
+    _RUNS.append(args)
+    return {"args": args}
+
+
+@cell_worker("test_fail_once")
+def _fail_once(x):
+    _RUNS.append(("fail_once", x))
+    if _ARMED:
+        _ARMED.pop()
+        # A ReproError: deterministic, so supervision never retries it.
+        raise SimulationError("armed failure")
+    return x
+
+
+@pytest.fixture
+def runs():
+    del _RUNS[:], _ARMED[:]
+    yield _RUNS
+    del _RUNS[:], _ARMED[:]
+
+
+def test_identical_cells_under_two_keys_execute_once(runs):
+    out = run_cells([Cell(("a",), "test_count", (7,)),
+                     Cell(("b",), "test_count", (7,))])
+    assert runs == [(7,)]
+    assert out == {("a",): {"args": (7,)}, ("b",): {"args": (7,)}}
+
+
+def test_dedup_keeps_typed_args_apart(runs):
+    cells = [Cell((i,), "test_count", (arg,))
+             for i, arg in enumerate((1, 1.0, True))]
+    out = run_cells(cells)
+    assert len(runs) == 3
+    assert [type(out[(i,)]["args"][0]) for i in range(3)] == [int, float, bool]
+
+
+def test_batch_scope_serves_later_sweeps(runs):
+    with batch_scope():
+        run_cells([Cell(("fig",), "test_count", (1,))])
+        out = run_cells([Cell(("tab",), "test_count", (1,)),
+                         Cell(("new",), "test_count", (2,))])
+    assert runs == [(1,), (2,)]
+    assert out[("tab",)] == {"args": (1,)}
+    # Outside the scope nothing is remembered.
+    run_cells([Cell(("again",), "test_count", (1,))])
+    assert runs == [(1,), (2,), (1,)]
+
+
+def test_failed_cell_is_not_cached(runs):
+    _ARMED.append(True)
+    with batch_scope():
+        with pytest.raises(ReproError):
+            run_cells([Cell(("first",), "test_fail_once", (3,))])
+        out = run_cells([Cell(("second",), "test_fail_once", (3,))])
+    assert out == {("second",): 3}
+    assert runs == [("fail_once", 3), ("fail_once", 3)]
+
+
+def test_each_batch_executes_its_own_cells(runs, monkeypatch):
+    def _exp(quick=True, seed=0, jobs=1, sim_iters=None):
+        points = run_cells([Cell((seed,), "test_count", (seed,))], jobs=jobs)
+        return ExperimentOutput("dedupex", "dedup", {}, repr(points))
+
+    monkeypatch.setitem(EXPERIMENTS, "dedupex", _exp)
+    monkeypatch.setitem(EXPERIMENTS, "dedupex2", _exp)
+    first = run_batch(["dedupex", "dedupex2"], seed=5)
+    assert runs == [(5,)]  # the second experiment reuses the first's cell
+    second = run_batch(["dedupex", "dedupex2"], seed=5)
+    assert runs == [(5,), (5,)]  # a new batch starts with an empty table
+    assert first.render() == second.render()
 
 
 # ---------------------------------------------------------------------------
