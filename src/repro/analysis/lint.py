@@ -660,7 +660,9 @@ def iter_python_files(paths: _t.Iterable[str | pathlib.Path]) -> list[pathlib.Pa
 
     A path that does not exist (or is neither a directory nor a ``.py``
     file) raises :class:`ConfigError` — a lint run over zero files must
-    never pass as "clean" just because the cwd was wrong.
+    never pass as "clean" just because the cwd was wrong.  Inside a
+    directory, dot-directories and ``__pycache__`` are skipped; the
+    directory's own location (say, under ``~/.local``) does not matter.
     """
     out: list[pathlib.Path] = []
     for raw in paths:
@@ -668,8 +670,10 @@ def iter_python_files(paths: _t.Iterable[str | pathlib.Path]) -> list[pathlib.Pa
         if p.is_dir():
             out.extend(
                 f for f in p.rglob("*.py")
-                if "__pycache__" not in f.parts
-                and not any(part.startswith(".") for part in f.parts)
+                if not any(
+                    part.startswith(".") or part == "__pycache__"
+                    for part in f.relative_to(p).parts
+                )
             )
         elif p.is_file() and p.suffix == ".py":
             out.append(p)

@@ -5,10 +5,12 @@ sanitizer and the byte-identity CI guards) and, until now, one *per-file*
 static layer (``repro lint``).  This module adds the whole-program layer
 that the content-addressed result cache (ROADMAP item 1) requires:
 
-* **Module index** — :class:`ModuleIndex` parses every module under a
-  package root with the stdlib :mod:`ast` (nothing is imported) and
-  records its top-level definitions (functions, classes, assignments)
-  and import bindings.
+* **Module index** — :class:`ModuleIndex` parses a module under a
+  package root with the stdlib :mod:`ast` (nothing is imported) only
+  when resolution reaches it, and keeps a summary: its top-level
+  definitions (functions, classes, assignments) with their outgoing
+  references, import bindings, worker registrations and line spans.
+  The AST itself is dropped.
 * **Call-graph closure** — starting from a registered cell worker
   (``@cell_worker`` in :mod:`repro.harness.parallel`), name and
   attribute references are resolved through import bindings — including
@@ -17,8 +19,9 @@ that the content-addressed result cache (ROADMAP item 1) requires:
 * **Semantic fingerprints** — each definition is hashed over a canonical
   AST dump with docstrings stripped, so the fingerprint is invariant
   under comments, docstrings and formatting but changes with any
-  semantic edit.  Folding the sorted per-definition hashes over a
-  worker's closure yields its ``code fingerprint``: the cache/journal
+  semantic edit.  A definition is hashed only when a closure needs it,
+  and at most once per index.  Folding the sorted per-definition hashes
+  over a worker's closure yields its ``code fingerprint``: the cache/journal
   key component that ties a stored result to the exact code that
   produced it (``repro fingerprint``, journal format v2 —
   :mod:`repro.harness.journal`).
@@ -42,11 +45,13 @@ sensitive, never stale — the safe direction for a cache key.
 from __future__ import annotations
 
 import ast
-import copy
+import collections
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
+import re
 import typing as _t
 
 from repro.analysis.lint import (
@@ -62,6 +67,10 @@ FINGERPRINT_WIDTH = 32
 #: Resolution depth cap for re-export chains (``from .x import y`` hops).
 _MAX_HOPS = 16
 
+#: A decorator line naming ``cell_worker``: only files with one are
+#: parsed to discover workers.
+_REGISTRATION = re.compile(r"^[ \t]*@[^\n]*\bcell_worker\b", re.M)
+
 
 # ---------------------------------------------------------------------------
 # Module index
@@ -69,11 +78,21 @@ _MAX_HOPS = 16
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Definition:
-    """One top-level definition: a function, class or assignment."""
+    """One top-level definition (function, class, assignment) or method.
+
+    A summary, not the AST: the outgoing references the closure walk
+    resolves are recorded once, when the module is indexed.  References
+    are kept as one newline-separated string of dotted names (``a.b.c``),
+    far smaller than a tuple of tuples.
+    """
 
     module: str     #: dotted module name, e.g. ``repro.harness.parallel``
     qualname: str   #: ``name`` or ``Class.method``
-    node: ast.AST   #: the defining AST statement
+    is_class: bool
+    lines: tuple[int, int]  #: lines that re-parse into the same statement
+    refs: str       #: dotted names loaded anywhere inside
+    bases: str      #: dotted class bases (classes only)
+    scope: tuple[tuple[str, tuple[str, str | None]], ...]  #: local imports
 
     @property
     def key(self) -> tuple[str, str]:
@@ -86,13 +105,17 @@ _Bindings = dict[str, tuple[str, str | None]]
 
 @dataclasses.dataclass(slots=True)
 class _Module:
+    """Summary of one parsed module; a file that does not parse has no
+    definitions, imports or workers."""
+
     name: str
     path: pathlib.Path
-    source: str
-    tree: ast.Module | None           #: None when the file does not parse
     is_package: bool
+    digest: str     #: sha256 of the indexed source (guards re-parsing)
     defs: dict[str, Definition] = dataclasses.field(default_factory=dict)
     imports: _Bindings = dataclasses.field(default_factory=dict)
+    workers: dict[str, str] = dataclasses.field(default_factory=dict)
+    spans: tuple[tuple[int, int, str], ...] = ()  #: top-level def/class lines
 
 
 def _import_bindings(
@@ -128,14 +151,187 @@ def _import_bindings(
     return out
 
 
+def _definition_nodes(tree: ast.Module) -> dict[str, tuple[ast.stmt, ast.stmt]]:
+    """``{qualname: (top-level statement, defining statement)}``.
+
+    A later function/class/method rebinds its name; an assignment only
+    binds a name nothing bound before.
+    """
+    out: dict[str, tuple[ast.stmt, ast.stmt]] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out[stmt.name] = (stmt, stmt)
+        elif isinstance(stmt, ast.ClassDef):
+            out[stmt.name] = (stmt, stmt)
+            for sub in stmt.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out[f"{stmt.name}.{sub.name}"] = (stmt, sub)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    out.setdefault(target.id, (stmt, stmt))
+        elif isinstance(stmt, ast.AnnAssign):
+            if isinstance(stmt.target, ast.Name) and stmt.value is not None:
+                out.setdefault(stmt.target.id, (stmt, stmt))
+    return out
+
+
+def _first_line(stmt: ast.stmt) -> int:
+    """First line of ``stmt``, decorators included."""
+    return min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", ())])
+
+
+def _summarize(
+    name: str, path: pathlib.Path, is_package: bool, source: str
+) -> _Module:
+    """Index one module in a single pass; the AST is dropped on return."""
+    mod = _Module(name, path, is_package, _digest(source))
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError:
+        return mod
+    mod.imports = _import_bindings(tree.body, name, is_package)
+    spans = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        spans.append((_first_line(stmt), stmt.end_lineno or stmt.lineno,
+                      stmt.name))
+        if isinstance(stmt, ast.ClassDef):
+            continue
+        for deco in stmt.decorator_list:
+            if (
+                isinstance(deco, ast.Call)
+                and (_dotted_name(deco.func) or "").rpartition(".")[2]
+                == "cell_worker"
+                and deco.args
+                and isinstance(deco.args[0], ast.Constant)
+                and isinstance(deco.args[0].value, str)
+            ):
+                mod.workers[deco.args[0].value] = stmt.name
+    mod.spans = tuple(spans)
+    whole = (1, source.count("\n") + 1)
+    for qualname, (top, node) in _definition_nodes(tree).items():
+        refs, local_imports = _scan(node)
+        is_class = isinstance(node, ast.ClassDef)
+        mod.defs[qualname] = Definition(
+            module=name,
+            qualname=qualname,
+            is_class=is_class,
+            # A statement that starts a line parses on its own; one after
+            # a ``;`` is re-parsed with its whole module.
+            lines=(
+                (_first_line(top), top.end_lineno or top.lineno)
+                if top.col_offset == 0 else whole
+            ),
+            refs="\n".join(refs),
+            bases="\n".join(
+                b for b in map(_dotted_name, node.bases) if b
+            ) if is_class else "",
+            scope=tuple(_import_bindings(
+                local_imports, name, is_package).items()),
+        )
+    return mod
+
+
+def _scan(node: ast.AST) -> tuple[dict[str, None], list[ast.stmt]]:
+    """Dotted names loaded under ``node`` and the imports it contains.
+
+    Visits nodes in :func:`ast.walk` order, so a later local import of
+    the same alias wins exactly as it did when the index held the AST.
+    """
+    refs: dict[str, None] = {}
+    imports: list[ast.stmt] = []
+    todo = collections.deque((node,))
+    pop, push = todo.popleft, todo.append
+    while todo:
+        sub = pop()
+        cls = type(sub)
+        if cls is ast.Name:
+            if type(sub.ctx) is ast.Load:
+                refs[sub.id] = None
+            continue
+        if cls is ast.Attribute:
+            dotted = _dotted_name(sub)
+            if dotted:
+                refs[dotted] = None
+        elif cls is ast.Import or cls is ast.ImportFrom:
+            imports.append(sub)
+            continue
+        for name, _optional in _fields(cls):
+            value = getattr(sub, name, None)
+            if isinstance(value, ast.AST):
+                push(value)
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        push(item)
+    return refs, imports
+
+
+def _digest(source: str) -> str:
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
+def _read(path: pathlib.Path) -> str:
+    return path.read_text(encoding="utf-8", errors="replace")
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    """``(field, omitted when None)`` of an AST class, in ``_fields`` order."""
+    return tuple((f, getattr(cls, f, ...) is None) for f in cls._fields)
+
+
+class _ModuleTable(_t.Mapping[str, _Module]):
+    """Every module under the root by dotted name, summarized on first use.
+
+    Resolution only ever touches the modules a closure reaches, so most
+    of the package is never parsed for a fingerprint.
+    """
+
+    def __init__(self, files: dict[str, tuple[pathlib.Path, bool]]) -> None:
+        self._files = files
+        self._loaded: dict[str, _Module] = {}
+
+    def __getitem__(self, name: str) -> _Module:
+        mod = self._loaded.get(name)
+        if mod is None:
+            path, is_package = self._files[name]
+            mod = self._loaded[name] = _summarize(
+                name, path, is_package, _read(path))
+        return mod
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._files
+
+    def __iter__(self) -> _t.Iterator[str]:
+        return iter(self._files)
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+    def forget(self) -> None:
+        """Drop every summary; modules are parsed again when next used."""
+        self._loaded.clear()
+
+    def path(self, name: str) -> pathlib.Path:
+        return self._files[name][0]
+
+
 class ModuleIndex:
-    """AST index of every module under one package root.
+    """Summary index of every module under one package root.
 
     ``root`` is the package directory (default: the installed
     :mod:`repro` package) and ``package`` its dotted import name.  The
-    index never imports the code it describes; files that fail to parse
-    are kept (with ``tree=None``) so the deep analysis can surface them
-    as DET000 instead of silently shrinking the closure.
+    index never imports the code it describes and holds no AST: a
+    module is parsed when resolution first reaches it and summarized
+    (definitions with their outgoing references, import bindings,
+    worker registrations, top-level line spans).  Resolved edges and
+    definition hashes are memoized on the instance until
+    :meth:`worker_closures` has fingerprinted every worker; from then
+    on only the closures are kept.
     """
 
     def __init__(
@@ -152,8 +348,13 @@ class ModuleIndex:
         if not self.root.is_dir():
             raise ConfigError(f"package root {self.root} is not a directory")
         self.package = package or self.root.name
-        self.modules: dict[str, _Module] = {}
-        self._load()
+        self.modules = _ModuleTable(self._discover())
+        self.hashes_computed = 0
+        self._hashes: dict[tuple[str, str], str] = {}
+        self._edge_memo: dict[tuple[str, str], tuple[Definition, ...]] = {}
+        self._closures: dict[str, WorkerClosure] | None = None
+        self._failure: str | None = None
+        self._workers: dict[str, Definition] | None = None
 
     _default: _t.ClassVar["ModuleIndex | None"] = None
 
@@ -166,57 +367,25 @@ class ModuleIndex:
 
     @classmethod
     def reset_default(cls) -> None:
-        """Drop the cached default index (tests, editable installs)."""
+        """Drop the cached default index and every memo built on it."""
         cls._default = None
-        _fingerprint_cache.clear()
 
     # -- construction ------------------------------------------------------
-    def _load(self) -> None:
-        files = sorted(
-            f for f in self.root.rglob("*.py")
-            if "__pycache__" not in f.parts
-            and not any(part.startswith(".") for part in f.parts)
-        )
-        for path in files:
+    def _discover(self) -> dict[str, tuple[pathlib.Path, bool]]:
+        """``{module name: (path, is_package)}``; dot-directories and
+        ``__pycache__`` below the root are skipped, whatever the root's
+        own path looks like."""
+        files: dict[str, tuple[pathlib.Path, bool]] = {}
+        for path in sorted(self.root.rglob("*.py")):
             rel = path.relative_to(self.root)
+            if any(p.startswith(".") or p == "__pycache__" for p in rel.parts):
+                continue
             parts = [self.package] + list(rel.parts[:-1])
             is_package = rel.name == "__init__.py"
             if not is_package:
                 parts.append(rel.stem)
-            name = ".".join(parts)
-            source = path.read_text(encoding="utf-8", errors="replace")
-            try:
-                tree: ast.Module | None = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                tree = None
-            mod = _Module(name, path, source, tree, is_package)
-            if tree is not None:
-                mod.imports = _import_bindings(tree.body, name, is_package)
-                self._collect_defs(mod, tree)
-            self.modules[name] = mod
-
-    def _collect_defs(self, mod: _Module, tree: ast.Module) -> None:
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                mod.defs[stmt.name] = Definition(mod.name, stmt.name, stmt)
-            elif isinstance(stmt, ast.ClassDef):
-                mod.defs[stmt.name] = Definition(mod.name, stmt.name, stmt)
-                for sub in stmt.body:
-                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        qn = f"{stmt.name}.{sub.name}"
-                        mod.defs[qn] = Definition(mod.name, qn, sub)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        mod.defs.setdefault(
-                            target.id, Definition(mod.name, target.id, stmt)
-                        )
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name) and stmt.value is not None:
-                    mod.defs.setdefault(
-                        stmt.target.id,
-                        Definition(mod.name, stmt.target.id, stmt),
-                    )
+            files[".".join(parts)] = (path, is_package)
+        return files
 
     # -- resolution --------------------------------------------------------
     def resolve_path(
@@ -237,7 +406,7 @@ class ModuleIndex:
             if mod is not None:
                 d = mod.defs.get(name)
                 if d is not None:
-                    if len(parts) >= 2 and isinstance(d.node, ast.ClassDef):
+                    if len(parts) >= 2 and d.is_class:
                         meth = mod.defs.get(f"{name}.{parts[1]}")
                         return meth or d
                     return d
@@ -276,7 +445,7 @@ class ModuleIndex:
             return self.resolve_path(bmod, parts)
         d = mod.defs.get(head)
         if d is not None:
-            if len(dotted) >= 2 and isinstance(d.node, ast.ClassDef):
+            if len(dotted) >= 2 and d.is_class:
                 return mod.defs.get(f"{head}.{dotted[1]}") or d
             return d
         return None
@@ -289,26 +458,21 @@ class ModuleIndex:
         ``@cell_worker("name")`` anywhere in the package counts, exactly
         mirroring the runtime registry that
         :func:`repro.harness.parallel.cell_worker` builds on import.
+        Only files with a decorator line naming ``cell_worker`` are
+        parsed here; a registration spelled otherwise goes unseen, and
+        its worker is simply never cached (``worker_fingerprint`` is
+        ``None``, which the store banner reports).
         """
-        out: dict[str, Definition] = {}
-        for modname in sorted(self.modules):
-            mod = self.modules[modname]
-            if mod.tree is None:
-                continue
-            for stmt in mod.tree.body:
-                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if self._workers is None:
+            out: dict[str, Definition] = {}
+            for modname in sorted(self.modules):
+                if not _REGISTRATION.search(_read(self.modules.path(modname))):
                     continue
-                for deco in stmt.decorator_list:
-                    if not isinstance(deco, ast.Call):
-                        continue
-                    target = deco.func
-                    name_parts = _dotted_name(target)
-                    if not name_parts or name_parts[-1] != "cell_worker":
-                        continue
-                    if deco.args and isinstance(deco.args[0], ast.Constant) \
-                            and isinstance(deco.args[0].value, str):
-                        out[deco.args[0].value] = mod.defs[stmt.name]
-        return out
+                mod = self.modules[modname]
+                for worker, qualname in mod.workers.items():
+                    out[worker] = mod.defs[qualname]
+            self._workers = out
+        return self._workers
 
     # -- closure -----------------------------------------------------------
     def closure(self, roots: _t.Sequence[Definition]) -> list[Definition]:
@@ -323,50 +487,117 @@ class ModuleIndex:
             stack.extend(self._edges(d))
         return [seen[k] for k in sorted(seen)]
 
-    def _edges(self, d: Definition) -> list[Definition]:
+    def _edges(self, d: Definition) -> tuple[Definition, ...]:
+        """Definitions ``d`` references directly (memoized, sorted)."""
+        found = self._edge_memo.get(d.key)
+        if found is not None:
+            return found
         mod = self.modules[d.module]
-        node = d.node
-        scope = _import_bindings(
-            [s for s in ast.walk(node)
-             if isinstance(s, (ast.Import, ast.ImportFrom))],
-            mod.name, mod.is_package,
-        )
+        scope = dict(d.scope)
         owner_class: str | None = None
-        if isinstance(node, ast.ClassDef):
+        if d.is_class:
             owner_class = d.qualname
         elif "." in d.qualname:
             owner_class = d.qualname.split(".", 1)[0]
         out: dict[tuple[str, str], Definition] = {}
-        for sub in ast.walk(node):
-            dotted: tuple[str, ...] | None = None
-            if isinstance(sub, ast.Attribute):
-                dotted = _dotted_name(sub)
-            elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                dotted = (sub.id,)
-            if not dotted:
-                continue
-            target = self.resolve_dotted(mod, scope, dotted, owner_class)
-            if target is not None and target.key != d.key:
-                out[target.key] = target
-        if isinstance(node, ast.ClassDef):
-            for base in node.bases:
-                base_dotted = _dotted_name(base)
-                if base_dotted:
-                    target = self.resolve_dotted(mod, scope, base_dotted)
-                    if target is not None and target.key != d.key:
-                        out[target.key] = target
-        return [out[k] for k in sorted(out)]
+        for refs, owner in ((d.refs, owner_class), (d.bases, None)):
+            for dotted in refs.split("\n") if refs else ():
+                target = self.resolve_dotted(
+                    mod, scope, tuple(dotted.split(".")), owner)
+                if target is not None and target.key != d.key:
+                    out[target.key] = target
+        found = self._edge_memo[d.key] = tuple(out[k] for k in sorted(out))
+        return found
+
+    # -- hashing -----------------------------------------------------------
+    def definition_hashes(
+        self, defs: _t.Iterable[Definition]
+    ) -> dict[tuple[str, str], str]:
+        """:func:`definition_fingerprint` of each of ``defs``, by key.
+
+        Each definition is hashed at most once per index.  Hashing
+        re-parses only the top-level statements that hold ``defs``, one
+        at a time; a module whose file changed since it was indexed
+        raises :class:`~repro.errors.ConfigError` rather than mixing two
+        versions of the code into one fingerprint.
+        """
+        defs = list(defs)
+        missing: dict[str, list[str]] = {}
+        for d in defs:
+            if d.key not in self._hashes:
+                missing.setdefault(d.module, []).append(d.qualname)
+        for modname in sorted(missing):
+            mod = self.modules[modname]
+            source = _read(mod.path)
+            if _digest(source) != mod.digest:
+                raise ConfigError(f"{mod.path} changed since it was indexed")
+            lines = source.split("\n")
+            statements: dict[tuple[int, int], list[str]] = {}
+            for qualname in missing[modname]:
+                statements.setdefault(mod.defs[qualname].lines, []).append(qualname)
+            for (first, last), qualnames in sorted(statements.items()):
+                try:
+                    nodes = _definition_nodes(
+                        ast.parse("\n".join(lines[first - 1:last])))
+                except SyntaxError:  # its last line runs on into the next
+                    nodes = _definition_nodes(ast.parse(source))
+                # Methods first: a class's dump then reuses their text.
+                dumps: dict[int, str] = {}
+                for qualname in sorted(qualnames, key=lambda q: "." not in q):
+                    node = nodes[qualname][1]
+                    blob = _canonical_dump(node, dumps)
+                    if "." in qualname:
+                        dumps[id(node)] = blob
+                    self._hashes[(modname, qualname)] = _hash_text(blob)
+                    self.hashes_computed += 1
+        return {d.key: self._hashes[d.key] for d in defs}
+
+    # -- worker closures ---------------------------------------------------
+    def worker_closures(self) -> dict[str, WorkerClosure]:
+        """Closure and code fingerprint of every registered worker.
+
+        Computed together on first use, since the workers share most of
+        their definitions.  The summaries, edges and hashes are dropped
+        afterwards: a process that forks cell workers once it has
+        fingerprinted them should not hand them copies.  If a module
+        changed since it was indexed, every call raises the same
+        :class:`~repro.errors.ConfigError`.
+        """
+        if self._failure is not None:
+            raise ConfigError(self._failure)
+        if self._closures is None:
+            closures: dict[str, WorkerClosure] = {}
+            try:
+                for worker, root in sorted(self.workers().items()):
+                    defs = self.closure([root])
+                    hashes = self.definition_hashes(defs)
+                    closures[worker] = WorkerClosure(
+                        worker=worker,
+                        root=root.key,
+                        fingerprint=fold_fingerprints(
+                            (m, q, h) for (m, q), h in hashes.items()),
+                        definitions=tuple(d.key for d in defs),
+                        modules=tuple(sorted({d.module for d in defs})),
+                    )
+            except ConfigError as exc:
+                self._failure = str(exc)
+                raise
+            self._closures = closures
+            self.modules.forget()
+            self._edge_memo.clear()
+            self._hashes.clear()
+        return self._closures
 
 
-def _dotted_name(node: ast.AST) -> tuple[str, ...] | None:
-    """``a.b.c`` expression -> ``('a', 'b', 'c')`` (None otherwise)."""
+def _dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` expression -> ``'a.b.c'`` (None otherwise)."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
         node = node.value
     if isinstance(node, ast.Name):
         parts.append(node.id)
-        return tuple(reversed(parts))
+        return ".".join(reversed(parts))
     return None
 
 
@@ -374,20 +605,74 @@ def _dotted_name(node: ast.AST) -> tuple[str, ...] | None:
 # Semantic fingerprints
 # ---------------------------------------------------------------------------
 
-def _strip_docstrings(node: ast.AST) -> None:
-    """Remove docstring expressions everywhere under ``node`` (in place)."""
-    for sub in ast.walk(node):
-        body = getattr(sub, "body", None)
-        if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef, ast.Module)) or not body:
+#: Nodes whose leading string statement is a docstring.
+_DOC_OWNERS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Module)
+
+
+def _is_docstring(stmt: ast.AST) -> bool:
+    return (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Constant)
+        and isinstance(stmt.value.value, str)
+    )
+
+
+def _canonical_dump(node: ast.AST, methods: _t.Mapping[int, str] = {}) -> str:
+    """``ast.dump(node, include_attributes=False)`` with every docstring
+    left out, byte for byte, without copying or mutating ``node``.
+
+    ``methods`` maps ``id()`` of function nodes already dumped to their
+    text, which is reused instead of walking them again.
+    """
+    out: list[str] = []
+    _dump_into(node, out.append, methods)
+    return "".join(out)
+
+
+def _dump_into(
+    node: ast.AST, emit: _t.Callable[[str], None], methods: _t.Mapping[int, str]
+) -> None:
+    cls = type(node)
+    if cls is ast.FunctionDef or cls is ast.AsyncFunctionDef:
+        done = methods.get(id(node))
+        if done is not None:
+            emit(done)
+            return
+    emit(cls.__name__)
+    emit("(")
+    sep = ""
+    for name, optional in _fields(cls):
+        try:
+            value = getattr(node, name)
+        except AttributeError:
             continue
-        first = body[0]
-        if (
-            isinstance(first, ast.Expr)
-            and isinstance(first.value, ast.Constant)
-            and isinstance(first.value.value, str)
-        ):
-            del body[0]
+        if value is None and optional:
+            continue
+        emit(sep)
+        sep = ", "
+        emit(name)
+        emit("=")
+        if isinstance(value, ast.AST):
+            _dump_into(value, emit, methods)
+        elif isinstance(value, list):
+            if (
+                name == "body" and value
+                and isinstance(node, _DOC_OWNERS)
+                and _is_docstring(value[0])
+            ):
+                value = value[1:]
+            emit("[")
+            for i, item in enumerate(value):
+                if i:
+                    emit(", ")
+                if isinstance(item, ast.AST):
+                    _dump_into(item, emit, methods)
+                else:
+                    emit(repr(item))
+            emit("]")
+        else:
+            emit(repr(value))
+    emit(")")
 
 
 def definition_fingerprint(node: ast.AST) -> str:
@@ -399,11 +684,11 @@ def definition_fingerprint(node: ast.AST) -> str:
     itself (names, constants, structure, decorators, annotations)
     produces a different value.
     """
-    clean = copy.deepcopy(node)
-    _strip_docstrings(clean)
-    blob = ast.dump(clean, include_attributes=False)
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    return digest[:FINGERPRINT_WIDTH]
+    return _hash_text(_canonical_dump(node))
+
+
+def _hash_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:FINGERPRINT_WIDTH]
 
 
 def fold_fingerprints(items: _t.Iterable[tuple[str, str, str]]) -> str:
@@ -433,30 +718,14 @@ class WorkerClosure:
 
 def worker_closure(worker: str, index: ModuleIndex | None = None) -> WorkerClosure:
     """Closure + fingerprint for one registered worker."""
-    index = index or ModuleIndex.default()
-    workers = index.workers()
+    closures = (index or ModuleIndex.default()).worker_closures()
     try:
-        root = workers[worker]
+        return closures[worker]
     except KeyError:
         raise ConfigError(
             f"unknown cell worker {worker!r}; statically registered: "
-            f"{sorted(workers)}"
+            f"{sorted(closures)}"
         ) from None
-    defs = index.closure([root])
-    fingerprint = fold_fingerprints(
-        (d.module, d.qualname, definition_fingerprint(d.node)) for d in defs
-    )
-    return WorkerClosure(
-        worker=worker,
-        root=root.key,
-        fingerprint=fingerprint,
-        definitions=tuple(d.key for d in defs),
-        modules=tuple(sorted({d.module for d in defs})),
-    )
-
-
-#: Per-process cache for :func:`worker_fingerprint` (the journal hot path).
-_fingerprint_cache: dict[str, str | None] = {}
 
 
 def worker_fingerprint(worker: str) -> str | None:
@@ -466,13 +735,13 @@ def worker_fingerprint(worker: str) -> str | None:
     This is the journal/cache hook: ``None`` means "no code identity
     available", which the resume logic treats as "do not check" rather
     than "mismatch" — dynamic workers keep their pre-v2 behaviour.
+    Closures are memoized on :meth:`ModuleIndex.default`, so the
+    workers are analyzed once per process.
     """
-    if worker not in _fingerprint_cache:
-        try:
-            _fingerprint_cache[worker] = worker_closure(worker).fingerprint
-        except ConfigError:
-            _fingerprint_cache[worker] = None
-    return _fingerprint_cache[worker]
+    try:
+        return worker_closure(worker).fingerprint
+    except ConfigError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +836,7 @@ def analyze_workers(
     findings: list[StaticFinding] = []
     for modname in sorted(module_workers):
         mod = index.modules[modname]
-        raw = lint_source(mod.source, str(mod.path), deep=True)
+        raw = lint_source(_read(mod.path), str(mod.path), deep=True)
         # DET012 rides along so a stale suppression of a deep rule in
         # reachable code is surfaced by `repro lint --deep` too.
         deep_raw = [
@@ -576,9 +845,8 @@ def analyze_workers(
         ]
         if not deep_raw:
             continue
-        spans = _toplevel_spans(mod)
         for f in deep_raw:
-            owner = _owning_span(spans, f.line)
+            owner = _owning_span(mod.spans, f.line)
             if owner is None:
                 via = module_workers[modname]  # import-time module body
             else:
@@ -591,19 +859,6 @@ def analyze_workers(
             ))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return StaticReport(closures=tuple(closures), findings=tuple(findings))
-
-
-def _toplevel_spans(mod: _Module) -> list[tuple[int, int, str]]:
-    if mod.tree is None:
-        return []
-    spans = []
-    for stmt in mod.tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            start = min(
-                [stmt.lineno] + [d.lineno for d in stmt.decorator_list]
-            )
-            spans.append((start, stmt.end_lineno or stmt.lineno, stmt.name))
-    return spans
 
 
 def _owning_span(

@@ -324,6 +324,7 @@ class CellStore:
         self.published = 0
         self.peer_waits = 0
         self.takeovers = 0
+        self.uncacheable = 0  # lookups of workers without a code fingerprint
         if lease_ttl is None:
             lease_ttl = float(os.environ.get("REPRO_STORE_LEASE_TTL") or LEASE_TTL)
         if lease_ttl <= 0:
@@ -407,9 +408,12 @@ class CellStore:
         The counter-free primitive behind :meth:`lookup` and the peer
         polling loop (:meth:`await_peer` re-reads a shard many times for
         one logical lookup; counting each poll would garble the banner).
+        Only lookups of uncacheable workers are counted here: they hold
+        no lease, so they are never polled.
         """
         code = _worker_code(worker)
         if code is None:
+            self.uncacheable += 1
             return MISS
         key = store_key(worker, args, code)
         return self.find_by_address(
@@ -487,6 +491,8 @@ class CellStore:
         )
         if self.peer_waits:
             text += f", {self.peer_waits} awaited from peer(s)"
+        if self.uncacheable:
+            text += f", {self.uncacheable} uncacheable (no code fingerprint)"
         return text
 
     # -- leases: store-aware scheduling ------------------------------------

@@ -565,6 +565,7 @@ class RemoteCellStore(CellStore):
         address = self._address(worker, args)
         if address is None:
             self.misses += 1
+            self.uncacheable += 1
             return MISS
         key, code, digest = address
         local = self.find_by_address(key, worker, code, digest)
@@ -643,6 +644,7 @@ class RemoteCellStore(CellStore):
             address = self._address(cell.worker, cell.args)
             if address is None:
                 self.misses += 1
+                self.uncacheable += 1
                 plan.to_run.append(cell)
                 continue
             key, code, digest = address

@@ -290,20 +290,6 @@ class _Task:
     demoted: bool = False
 
 
-def _code_fingerprint(worker: str, cache: dict[str, str | None]) -> str | None:
-    """Static code fingerprint for ``worker``, memoized per call.
-
-    ``None`` when the worker is not statically registered (e.g. defined
-    in a test module) — the journal then carries no code identity for
-    it, matching pre-v2 behaviour.
-    """
-    if worker not in cache:
-        from repro.analysis.static import worker_fingerprint
-
-        cache[worker] = worker_fingerprint(worker)
-    return cache[worker]
-
-
 def run_cells_supervised(
     cells: _t.Sequence["Cell"],
     *,
@@ -341,6 +327,7 @@ def _run_supervised(
     namespace: str | None,
     executor: CellExecutor | None = None,
 ) -> SweepReport:
+    from repro.analysis.static import worker_fingerprint
     from repro.harness.parallel import check_unique_keys, resolve_jobs
 
     cells = list(cells)
@@ -352,7 +339,8 @@ def _run_supervised(
 
     # Code fingerprints are only relevant when results are persisted or
     # reused; a plain supervised run skips the static analysis entirely.
-    fingerprints: dict[str, str | None] = {}
+    # ``None``: the worker is not statically registered (e.g. defined in
+    # a test module), so the journal carries no code identity for it.
     want_code = scope.journal is not None or scope.resume is not None
 
     store = _active_store()
@@ -361,7 +349,7 @@ def _run_supervised(
     remaining: list[_Task] = []
     for c in cells:
         digest = payload_hash(c.worker, c.args)
-        code = _code_fingerprint(c.worker, fingerprints) if want_code else None
+        code = worker_fingerprint(c.worker) if want_code else None
         if scope.resume is not None:
             entry = scope.resume.get((ns, c.key))
             if (
@@ -449,7 +437,7 @@ def _run_supervised(
             task = _Task(
                 c,
                 payload_hash(c.worker, c.args),
-                _code_fingerprint(c.worker, fingerprints) if want_code else None,
+                worker_fingerprint(c.worker) if want_code else None,
             )
             tasks.append(task)
             _run_inline(task, scope, ns, results, failures)

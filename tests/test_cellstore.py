@@ -240,6 +240,19 @@ class TestRunCellsIntegration:
         )
         assert "awaited" not in store.banner()
 
+    def test_banner_counts_uncacheable_lookups(self, tmp_path):
+        # Without fake fingerprints the test-local worker has no code
+        # identity: the store is bypassed, and the banner says so
+        # instead of passing the bypass off as ordinary misses.
+        cells = [Cell((i,), "cs_count", (i,)) for i in range(3)]
+        with store_scope(tmp_path / "store") as store:
+            run_cells(cells, jobs=1)
+            assert store.lookup("cs_count", (9,)) is MISS
+        assert store.banner() == (
+            "store: 4 lookup(s): 0 served, 4 executed, 0 published, "
+            "4 uncacheable (no code fingerprint)"
+        )
+
     def test_env_var_activates_store(self, tmp_path, fake_fingerprints,
                                      monkeypatch):
         root = tmp_path / "envstore"

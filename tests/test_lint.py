@@ -192,6 +192,23 @@ class TestInfrastructure:
         with pytest.raises(ConfigError, match="lint path"):
             lint_paths([tmp_path / "no_such_dir"])
 
+    def test_tree_under_dot_prefixed_parent_is_linted(self, tmp_path):
+        # Only dot-directories *inside* the linted tree are skipped; a
+        # checkout under ~/.local or .venv must still be linted.
+        src = tmp_path / ".hidden" / "src"
+        (src / "pkg" / ".cache").mkdir(parents=True)
+        (src / "pkg" / "__pycache__").mkdir()
+        (src / "pkg" / "dirty.py").write_text("import time\nt = time.time()\n")
+        (src / "pkg" / ".cache" / "skipped.py").write_text(
+            "import time\nt = time.time()\n")
+        (src / "pkg" / "__pycache__" / "skipped.py").write_text(
+            "import time\nt = time.time()\n")
+        findings = lint_paths([src])
+        assert [(pathlib.Path(f.path).name, f.rule) for f in findings] == [
+            ("dirty.py", "DET001")
+        ]
+        assert main(["lint", str(src)]) == 1
+
     def test_repo_lints_clean(self):
         """Acceptance criterion: ``repro lint src benchmarks`` exits 0."""
         findings = lint_paths([REPO / "src", REPO / "benchmarks"])

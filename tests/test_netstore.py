@@ -175,6 +175,10 @@ class TestRoundTrip:
         assert c.lookup("no_such_worker_anywhere", (1,)) is MISS
         assert not c.publish("no_such_worker_anywhere", (1,), 3.0)
         assert c.try_lease("no_such_worker_anywhere", (1,)) is True
+        assert c.banner().startswith(
+            "store: 1 lookup(s): 0 served, 1 executed, 0 published, "
+            "1 uncacheable (no code fingerprint), "
+        )
         c.close()
 
 

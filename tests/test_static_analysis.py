@@ -9,19 +9,28 @@ cleanliness, fingerprint-keyed journal resume).
 
 from __future__ import annotations
 
+import ast
+import copy
+import gc
+import hashlib
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 import textwrap
+import types
+import typing as _t
 
 import pytest
 
 from repro.analysis.lint import RULES
 from repro.analysis.static import (
+    Definition,
     ModuleIndex,
     analyze_workers,
     definition_fingerprint,
+    fold_fingerprints,
     load_baseline,
     new_findings,
     to_sarif,
@@ -206,6 +215,195 @@ class TestFingerprints:
         data = json.loads(outs[0])
         assert set(data) >= {"npb_point", "osu_curve", "faults_point"}
         assert all(len(v["fingerprint"]) == 32 for v in data.values())
+
+
+# ---------------------------------------------------------------------------
+# The light index: hash oracle, memoization, path safety
+# ---------------------------------------------------------------------------
+
+def oracle_hash(node: ast.AST) -> str:
+    """The original definition hash: strip docstrings from a deep copy,
+    then hash its ``ast.dump``.  Stores and journals written with it
+    must stay valid, so the copy-free hash has to agree bit for bit."""
+    clean = copy.deepcopy(node)
+    for sub in ast.walk(clean):
+        body = getattr(sub, "body", None)
+        if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef, ast.Module)) or not body:
+            continue
+        first = body[0]
+        if (
+            isinstance(first, ast.Expr)
+            and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)
+        ):
+            del body[0]
+    blob = ast.dump(clean, include_attributes=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
+
+
+def oracle_nodes(index: ModuleIndex) -> dict[tuple[str, str], ast.AST]:
+    """Every definition's AST, collected independently of the index."""
+    out: dict[tuple[str, str], ast.AST] = {}
+    for name in index.modules:
+        tree = ast.parse(index.modules.path(name).read_text(encoding="utf-8"))
+        defs: dict[str, ast.AST] = {}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[stmt.name] = stmt
+            elif isinstance(stmt, ast.ClassDef):
+                defs[stmt.name] = stmt
+                for sub in stmt.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defs[f"{stmt.name}.{sub.name}"] = sub
+            elif isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name):
+                        defs.setdefault(target.id, stmt)
+            elif isinstance(stmt, ast.AnnAssign):
+                if isinstance(stmt.target, ast.Name) and stmt.value is not None:
+                    defs.setdefault(stmt.target.id, stmt)
+        out.update(((name, q), node) for q, node in defs.items())
+    return out
+
+
+def reachable_objects(root: object) -> _t.Iterator[object]:
+    """Objects reachable from ``root``'s own data (not classes/modules)."""
+    seen: set[int] = set()
+    todo = [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        yield obj
+        todo.extend(gc.get_referents(obj))
+
+
+class TestLightIndex:
+    def test_hashes_match_oracle_for_every_repo_definition(self):
+        index = ModuleIndex()
+        nodes = oracle_nodes(index)
+        defs = [index.modules[m].defs[q] for m, q in sorted(nodes)]
+        assert len(defs) > 1000
+        hashes = index.definition_hashes(defs)
+        assert hashes == {k: oracle_hash(node) for k, node in nodes.items()}
+
+    def test_hashes_match_oracle_for_awkward_layouts(self, tmp_path):
+        # Statements sharing lines, strings spanning them, rebound and
+        # shadowed names: each definition still hashes like the oracle.
+        root = tmp_path / "awk"
+        root.mkdir()
+        (root / "__init__.py").write_text(textwrap.dedent('''
+            """Module docstring."""
+            X = 1; Y = 2
+            A = """
+            """; B = 3  #"""
+            Z = 4; W = """
+            more"""
+            X = 5
+
+            @decorate(
+                1)
+            def f(a):
+                """Doc."""
+                return a; g = 1
+
+            class C:
+                """Doc."""
+                def m(self):
+                    "doc"
+                    return 1
+                def m(self):
+                    return 2
+
+            class C:
+                def n(self): return 3
+
+            def f(b): return b
+        '''), encoding="utf-8")
+        index = ModuleIndex(root, package="awk")
+        nodes = oracle_nodes(index)
+        defs = [index.modules[m].defs[q] for m, q in sorted(nodes)]
+        assert {q for _m, q in nodes} == {
+            "X", "Y", "A", "B", "Z", "W", "f", "C", "C.m", "C.n"}
+        assert index.definition_hashes(defs) == {
+            k: oracle_hash(node) for k, node in nodes.items()}
+
+    def test_worker_fingerprints_match_oracle(self):
+        index = ModuleIndex()
+        nodes = oracle_nodes(index)
+        for worker in sorted(index.workers()):
+            c = worker_closure(worker, index)
+            assert c.fingerprint == fold_fingerprints(
+                (m, q, oracle_hash(nodes[(m, q)])) for m, q in c.definitions
+            ), worker
+
+    def test_each_definition_hashed_once(self):
+        index = ModuleIndex()
+        workers = sorted(index.workers())
+        closures = [worker_closure(w, index) for w in workers]
+        unique = {k for c in closures for k in c.definitions}
+        assert index.hashes_computed == len(unique)
+        # The union is far smaller than the package: only closure
+        # definitions are ever hashed.
+        assert len(unique) < sum(len(index.modules[m].defs)
+                                 for m in index.modules)
+        again = [worker_closure(w, index) for w in workers]
+        assert again == closures and index.hashes_computed == len(unique)
+
+    def test_index_retains_no_ast(self):
+        index = ModuleIndex()
+        for worker in index.workers():
+            worker_closure(worker, index)
+        assert index.hashes_computed > 0
+        kept = list(reachable_objects(index))
+        assert [o for o in kept if isinstance(o, ast.AST)] == []
+        # Once every worker is fingerprinted only the roots stay: a
+        # process forked after fingerprinting inherits no summaries.
+        assert {o.key for o in kept if isinstance(o, Definition)} == {
+            d.key for d in index.workers().values()}
+
+    def test_reset_default_drops_every_memo(self):
+        ModuleIndex.reset_default()
+        first = ModuleIndex.default()
+        fp = worker_fingerprint("faults_point")
+        assert fp is not None and first.hashes_computed > 0
+        ModuleIndex.reset_default()
+        second = ModuleIndex.default()
+        assert second is not first and second.hashes_computed == 0
+        assert worker_fingerprint("faults_point") == fp
+        assert second.hashes_computed == first.hashes_computed
+
+    def test_dot_prefixed_location_indexes_the_same(self, fixpkg, tmp_path):
+        hidden = tmp_path / ".hidden" / "fixpkg"
+        shutil.copytree(fixpkg, hidden)
+        (hidden / ".skipped").mkdir()
+        (hidden / ".skipped" / "stray.py").write_text(
+            'from repro.harness.parallel import cell_worker\n'
+            '@cell_worker("fix_stray")\n'
+            'def stray(x):\n    return x\n',
+            encoding="utf-8",
+        )
+        plain, dotted = fix_index(fixpkg), fix_index(hidden)
+        assert set(dotted.workers()) == set(plain.workers()) == {
+            "fix_alpha", "fix_beta"
+        }
+        for worker in ("fix_alpha", "fix_beta"):
+            assert (worker_closure(worker, dotted).fingerprint
+                    == worker_closure(worker, plain).fingerprint)
+
+    def test_module_edited_after_indexing_is_refused(self, fixpkg):
+        index = fix_index(fixpkg)
+        root = index.workers()["fix_alpha"]
+        index.closure([root])  # summaries in; nothing hashed yet
+        text = (fixpkg / "maths.py").read_text(encoding="utf-8")
+        (fixpkg / "maths.py").write_text(text.replace("2 * x", "3 * x"),
+                                         encoding="utf-8")
+        with pytest.raises(ConfigError, match="changed since it was indexed"):
+            worker_closure("fix_alpha", index)
 
 
 # ---------------------------------------------------------------------------
