@@ -7,11 +7,11 @@ times).
 
 The remaining tests measure the simulation engine itself — events
 dispatched per second on the :mod:`repro.perf.enginebench` workloads
-(timeout-heavy, point-to-point ping-pong, the fast-forwarded
-compute/allreduce cadence, and the replay-enabled NPB steady loop) — so
-the sim-layer fast paths have dedicated before/after numbers.  Results are written to
-``BENCH_engine.json`` in the working directory at session end; the same
-rows come from ``python -m repro bench engine``.
+(timeout-heavy, point-to-point ping-pong, and the fast-forwarded
+compute/allreduce cadence) — so the sim-layer fast paths have dedicated
+before/after numbers.  Results are written to ``BENCH_engine.json`` in
+the working directory at session end; the same rows come from
+``python -m repro bench engine``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 from repro.perf.enginebench import (
     WORKLOADS,
     collective_event_counts,
-    replay_event_counts,
     run_workload,
     write_rows,
 )
@@ -42,15 +41,7 @@ def test_arrivef(run_and_report):
 def test_engine_throughput(workload):
     """Dispatch rate of the engine on one archetypal workload."""
     row = run_workload(workload)  # raises if too small to measure
-    if workload == "replay":
-        row.update(replay_event_counts())
-        # The headline acceptance figure: fast-forwarding a steady
-        # 16-iteration NPB loop must eliminate >= 3x the engine events.
-        assert row["events_ratio"] >= 3.0, (
-            f"replay eliminated only {row['events_ratio']:.2f}x events"
-        )
-        assert row["replayed_iters"] > 0, "replay never engaged"
-    elif workload == "collectives":
+    if workload == "collectives":
         row.update(collective_event_counts())
         # The collective fast-forward's acceptance figure: the analytic
         # path must eliminate >= 3x the engine events of the per-op path.

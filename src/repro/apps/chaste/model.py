@@ -196,11 +196,9 @@ class ChasteBenchmark:
                 if timed:
                     comm.world.monitor[comm.world_rank].exit(STEP_REGION, comm.wtime())
 
-            yield from timestep(False)  # warm-up step (untimed, unmarked)
-            for step in range(sim_steps):
-                yield from comm.iteration_scope(
-                    step, sim_steps, lambda: timestep(True), label="timestep"
-                )
+            yield from timestep(False)  # warm-up step (untimed)
+            for _ in range(sim_steps):
+                yield from timestep(True)
 
             # ---- output: every rank writes its piece to the shared fs ----
             with comm.region(OUTPUT_REGION):

@@ -258,10 +258,8 @@ class MetumBenchmark:
 
             # Warm-up step (spin-up costs, excluded from 'warmed' time).
             yield from atm_step(False)
-            for step in range(sim_steps):
-                yield from comm.iteration_scope(
-                    step, sim_steps, lambda: atm_step(True), label="atm_step"
-                )
+            for _ in range(sim_steps):
+                yield from atm_step(True)
             return None
 
         program.__name__ = "metum"

@@ -11,7 +11,6 @@ Commands
     complete sweeps, ``--jobs N`` fans sweep cells over N processes,
     ``--sanitize`` runs every world under the MPI sanitizer,
     ``--faults <spec>`` injects a fault schedule into every world,
-    ``--replay``/``--no-replay`` control steady-iteration fast-forward,
     ``--fastcollect``/``--no-fastcollect`` control the analytic
     collective fast-forward,
     ``--sim-iters N`` overrides the NPB steady-loop length,
@@ -139,7 +138,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     batch = run_batch(
         ids, quick=not args.full, seed=args.seed, jobs=args.jobs,
         sanitize=args.sanitize, faults=args.faults,
-        replay=args.replay, fastcollect=args.fastcollect,
+        fastcollect=args.fastcollect,
         sim_iters=args.sim_iters,
         supervisor=_supervisor_policy(args),
         store=args.store,
@@ -591,15 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a fault schedule into every simulated world, e.g. "
              "'nfs:start=0,dur=30,factor=4;link:start=10,dur=5,bw=0.5' "
              "(see docs/resilience.md; also via REPRO_FAULTS)",
-    )
-    run.add_argument(
-        "--replay", action="store_true", default=None,
-        help="fast-forward provably steady iterations (never changes "
-             "results; adds a [perf: ...] banner; also via REPRO_REPLAY)",
-    )
-    run.add_argument(
-        "--no-replay", dest="replay", action="store_false",
-        help="force iteration replay off, overriding REPRO_REPLAY",
     )
     run.add_argument(
         "--fastcollect", action="store_true", default=None,

@@ -8,8 +8,10 @@ to the human-readable text.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import pathlib
 import typing as _t
@@ -30,8 +32,8 @@ class BatchResult:
     sanitize_summary: str | None = None
     #: Canonical fault-schedule spec the batch ran under (None: fault-free).
     faults_spec: str | None = None
-    #: One-line memo/replay/fastcollect banner (None unless ``replay=True``
-    #: or ``fastcollect=True`` was asked).
+    #: One-line memo/fastcollect banner (None unless ``fastcollect=True``
+    #: was asked).
     perf_summary: str | None = None
     #: One-line ``harness: ...`` supervision banner (None unsupervised).
     #: Deliberately *not* part of :meth:`render` — its retry/journal-hit
@@ -114,6 +116,29 @@ def _failed_output(eid: str, err: CellExecutionError) -> ExperimentOutput:
     )
 
 
+def _on_clean_exit(stack: contextlib.ExitStack, read: _t.Callable[[], None]) -> None:
+    """Call ``read()`` when ``stack`` unwinds to this point without error.
+
+    Registered just before a scope is entered, ``read`` runs right after
+    that scope exits; registered just after, right before it exits.
+    """
+    stack.push(lambda exc_type, _exc, _tb: None if exc_type else read())
+
+
+def _sanitize_summary(reports: _t.Sequence[_t.Any]) -> str:
+    """The one-line ``sanitize: clean ...`` banner (plus any warnings)."""
+    nwarn = sum(len(r.warnings()) for r in reports)
+    summary = (
+        f"sanitize: clean — {len(reports)} world(s), "
+        f"{sum(r.sends_checked for r in reports)} send(s), "
+        f"{sum(r.collectives_checked for r in reports)} collective "
+        f"op(s) checked, {nwarn} warning(s), 0 errors"
+    )
+    if nwarn:
+        summary += "\n" + "\n".join(d.render() for r in reports for d in r.warnings())
+    return summary
+
+
 def run_batch(
     experiment_ids: _t.Sequence[str] | None = None,
     *,
@@ -154,23 +179,19 @@ def run_batch(
     batch, exported through ``REPRO_FAULTS`` so pool workers inherit the
     very same timeline.
 
-    ``replay`` forces steady-state iteration replay on (``True``, which
-    also adds a ``[perf: ...]`` banner) or off (``False``) for every
-    world, exported through ``REPRO_REPLAY``; the default ``None``
-    leaves the environment's setting in charge and prints no banner.
-    Replay is a pure fast-forward optimization — worlds it cannot prove
-    safe fall back to full simulation, so results never change.
+    ``fastcollect`` forces the analytic collective fast-forward
+    (:mod:`repro.perf.fastcollect`) on (``True``, which also adds a
+    ``[perf: ...]`` banner) or off (``False``) for every world, exported
+    through ``REPRO_FASTCOLLECT``; the default ``None`` leaves the
+    environment's setting in charge and prints no banner.  Worlds it
+    cannot prove safe fall back to the per-operation collective path
+    with a recorded reason, so results never change.
 
-    ``fastcollect`` does the same for the analytic collective
-    fast-forward (:mod:`repro.perf.fastcollect`), exported through
-    ``REPRO_FASTCOLLECT``: ``True`` adds its counters to the
-    ``[perf: ...]`` banner, worlds it cannot prove safe fall back to the
-    per-operation collective path with a recorded reason, and results
-    never change.
+    ``replay`` accepts only ``None``: iteration replay was removed, and
+    any other value raises :class:`~repro.errors.ConfigError`.
 
     ``sim_iters`` overrides the NPB steady-loop iteration count for
-    every NPB cell in the batch (the knob that makes replay worthwhile:
-    large counts amortise to the cost of the first few iterations).
+    every NPB cell in the batch.
 
     ``supervisor`` runs every experiment's sweep cells under the
     supervised harness (:mod:`repro.harness.supervisor`): watchdog
@@ -213,116 +234,62 @@ def run_batch(
         raise ConfigError(f"unknown experiments: {unknown}")
     if sim_iters is not None and sim_iters < 1:
         raise ConfigError(f"sim_iters must be >= 1: {sim_iters}")
+    # Kept only because existing callers still pass ``replay=None``.
+    if replay is not None:
+        raise ConfigError(f"iteration replay no longer exists: replay={replay!r}")
 
     from repro.harness.parallel import batch_scope
     from repro.harness.supervisor import cell_namespace
 
-    cell_failures: dict[str, CellExecutionError] = {}
+    # Scopes nest outermost first; each banner is read where
+    # ``_on_clean_exit`` is registered relative to its scope.
+    result = BatchResult({})
+    with contextlib.ExitStack() as stack:
+        on_exit = functools.partial(_on_clean_exit, stack)
+        if backend is not None:
+            from repro.harness.executor import executor_scope, make_executor
 
-    def _run_all() -> dict[str, ExperimentOutput]:
-        outputs: dict[str, ExperimentOutput] = {}
-        with batch_scope():
-            for eid in ids:
-                if progress is not None:
-                    progress(eid)
-                with cell_namespace(eid):
-                    try:
-                        outputs[eid] = run_experiment(
-                            eid, quick=quick, seed=seed, jobs=jobs,
-                            sim_iters=sim_iters,
-                        )
-                    except CellExecutionError as err:
-                        cell_failures[eid] = err
-                        outputs[eid] = _failed_output(eid, err)
-        return outputs
+            ex = stack.enter_context(executor_scope(make_executor(backend, jobs)))
+            on_exit(lambda: setattr(result, "executor_summary", ex.banner()))
+        if store is not None:
+            from repro.harness.cellstore import store_scope
 
-    def _run_sanitized() -> tuple[dict[str, ExperimentOutput], str]:
-        from repro.analysis.sanitizer import sanitize_scope
+            on_exit(lambda: setattr(result, "store_summary", cs.banner()))
+            cs = stack.enter_context(store_scope(store))
+        if supervisor is not None:
+            from repro.harness.supervisor import supervision_scope
 
-        with sanitize_scope() as reports:
-            outputs = _run_all()
-            nwarn = sum(len(r.warnings()) for r in reports)
-            summary = (
-                f"sanitize: clean — {len(reports)} world(s), "
-                f"{sum(r.sends_checked for r in reports)} send(s), "
-                f"{sum(r.collectives_checked for r in reports)} collective "
-                f"op(s) checked, {nwarn} warning(s), 0 errors"
-            )
-            if nwarn:
-                details = [
-                    d.render() for r in reports for d in r.warnings()
-                ]
-                summary += "\n" + "\n".join(details)
-        return outputs, summary
+            on_exit(lambda: setattr(result, "harness_summary", sup.banner()))
+            sup = stack.enter_context(supervision_scope(supervisor))
+        if fastcollect is not None:
+            from repro.perf.fastcollect import fastcollect_scope, perf_banner
 
-    def _run_batch() -> BatchResult:
-        faults_spec: str | None = None
+            if fastcollect:
+                on_exit(
+                    lambda: setattr(result, "perf_summary", perf_banner(fc_reports))
+                )
+            fc_reports = stack.enter_context(fastcollect_scope(fastcollect))
         if faults:
             from repro.faults.schedule import faults_scope
 
-            with faults_scope(faults) as schedule:
-                faults_spec = schedule.spec()
-                if sanitize:
-                    outputs, summary = _run_sanitized()
-                    return BatchResult(outputs, sanitize_summary=summary,
-                                       faults_spec=faults_spec)
-                return BatchResult(_run_all(), faults_spec=faults_spec)
+            result.faults_spec = stack.enter_context(faults_scope(faults)).spec()
+        if sanitize:
+            from repro.analysis.sanitizer import sanitize_scope
 
-        if not sanitize:
-            return BatchResult(_run_all())
-        outputs, summary = _run_sanitized()
-        return BatchResult(outputs, sanitize_summary=summary)
-
-    def _run_perf() -> BatchResult:
-        if replay is None and fastcollect is None:
-            return _run_batch()
-        import contextlib as _ctx
-
-        from repro.perf.fastcollect import fastcollect_scope
-        from repro.perf.replay import perf_banner, replay_scope
-
-        replay_reports = None
-        fc_reports = None
-        with _ctx.ExitStack() as stack:
-            if replay is not None:
-                replay_reports = stack.enter_context(replay_scope(replay))
-            if fastcollect is not None:
-                fc_reports = stack.enter_context(fastcollect_scope(fastcollect))
-            result = _run_batch()
-        if replay or fastcollect:
-            result.perf_summary = perf_banner(
-                replay_reports if replay else None,
-                fastcollect=fc_reports if fastcollect else None,
+            reports = stack.enter_context(sanitize_scope())
+            on_exit(
+                lambda: setattr(result, "sanitize_summary", _sanitize_summary(reports))
             )
-        return result
-
-    def _run_supervised_perf() -> BatchResult:
-        if supervisor is None:
-            return _run_perf()
-        from repro.harness.supervisor import supervision_scope
-
-        with supervision_scope(supervisor) as sup:
-            result = _run_perf()
-        result.harness_summary = sup.banner()
-        return result
-
-    def _run_stored() -> BatchResult:
-        if store is None:
-            return _run_supervised_perf()
-        from repro.harness.cellstore import store_scope
-
-        with store_scope(store) as cs:
-            result = _run_supervised_perf()
-        result.store_summary = cs.banner()
-        return result
-
-    if backend is None:
-        result = _run_stored()
-    else:
-        from repro.harness.executor import executor_scope, make_executor
-
-        with executor_scope(make_executor(backend, jobs)) as ex:
-            result = _run_stored()
-            result.executor_summary = ex.banner()
-    result.failures = dict(cell_failures)
+        stack.enter_context(batch_scope())
+        for eid in ids:
+            if progress is not None:
+                progress(eid)
+            with cell_namespace(eid):
+                try:
+                    result.outputs[eid] = run_experiment(
+                        eid, quick=quick, seed=seed, jobs=jobs, sim_iters=sim_iters,
+                    )
+                except CellExecutionError as err:
+                    result.failures[eid] = err
+                    result.outputs[eid] = _failed_output(eid, err)
     return result

@@ -41,12 +41,8 @@ def _bw_program(
         for phase, count in (("warmup", warmup), ("timed", iterations)):
             if phase == "timed":
                 t_start = comm.wtime()
-            for i in range(count):
-                yield from comm.iteration_scope(
-                    i, count,
-                    lambda: _bw_iteration(comm, peer, size, window),
-                    label=f"bw:{size}:{phase}",
-                )
+            for _ in range(count):
+                yield from _bw_iteration(comm, peer, size, window)
         elapsed = comm.wtime() - t_start
         results[size] = size * window * iterations / elapsed
     return results
@@ -68,12 +64,8 @@ def _bibw_program(
         for phase, count in (("warmup", warmup), ("timed", iterations)):
             if phase == "timed":
                 t_start = comm.wtime()
-            for i in range(count):
-                yield from comm.iteration_scope(
-                    i, count,
-                    lambda: _bibw_iteration(comm, peer, size, window),
-                    label=f"bibw:{size}:{phase}",
-                )
+            for _ in range(count):
+                yield from _bibw_iteration(comm, peer, size, window)
         elapsed = comm.wtime() - t_start
         # Both directions carried size*window bytes per iteration.
         results[size] = 2.0 * size * window * iterations / elapsed

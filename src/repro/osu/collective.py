@@ -29,12 +29,8 @@ def _allreduce_program(comm, sizes, iterations, warmup) -> _t.Generator:
             yield from comm.barrier()
             if phase == "timed":
                 t_start = comm.wtime()
-            for i in range(count):
-                yield from comm.iteration_scope(
-                    i, count,
-                    lambda: comm.allreduce(size, value=0.0),
-                    label=f"allreduce:{size}:{phase}",
-                )
+            for _ in range(count):
+                yield from comm.allreduce(size, value=0.0)
         results[size] = (comm.wtime() - t_start) / iterations
     return results
 
@@ -48,12 +44,8 @@ def _alltoall_program(comm, sizes, iterations, warmup) -> _t.Generator:
             yield from comm.barrier()
             if phase == "timed":
                 t_start = comm.wtime()
-            for i in range(count):
-                yield from comm.iteration_scope(
-                    i, count,
-                    lambda: comm.alltoall(total),
-                    label=f"alltoall:{size}:{phase}",
-                )
+            for _ in range(count):
+                yield from comm.alltoall(total)
         results[size] = (comm.wtime() - t_start) / iterations
     return results
 

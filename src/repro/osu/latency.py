@@ -24,10 +24,8 @@ def _latency_program(
 ) -> _t.Generator:
     """The OSU ping-pong loop: rank 0 sends, rank 1 echoes.
 
-    The warm-up and timed phases are marked as *separate* steady loops
-    (distinct ``iteration_scope`` labels), so replay judges and
-    fast-forwards each phase independently and the timed measurement
-    never extrapolates from warm-up iterations.
+    Only the timed phase's iterations enter the measurement; the
+    warm-up iterations run first and are excluded.
     """
     results: dict[int, float] = {}
     peer = 1 - comm.rank
@@ -35,12 +33,8 @@ def _latency_program(
         for phase, count in (("warmup", warmup), ("timed", iterations)):
             if phase == "timed":
                 t_start = comm.wtime()
-            for i in range(count):
-                yield from comm.iteration_scope(
-                    i, count,
-                    lambda: _pingpong(comm, peer, size),
-                    label=f"latency:{size}:{phase}",
-                )
+            for _ in range(count):
+                yield from _pingpong(comm, peer, size)
         results[size] = (comm.wtime() - t_start) / (2.0 * iterations)
     return results
 

@@ -28,12 +28,8 @@ def _multi_lat_program(
         for phase, count in (("warmup", warmup), ("timed", iterations)):
             if phase == "timed":
                 t_start = comm.wtime()
-            for i in range(count):
-                yield from comm.iteration_scope(
-                    i, count,
-                    lambda: _pair_pingpong(comm, sender, peer, size),
-                    label=f"multi_lat:{size}:{phase}",
-                )
+            for _ in range(count):
+                yield from _pair_pingpong(comm, sender, peer, size)
         results[size] = (comm.wtime() - t_start) / (2.0 * iterations)
     return results
 

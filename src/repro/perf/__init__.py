@@ -8,10 +8,6 @@ without changing any result:
   cache for collective-operation costs keyed by the full analytic input
   (algorithm, topology context, message size), shared across the
   simulations of a sweep.
-* :mod:`repro.perf.replay` — steady-state iteration capture & replay:
-  once consecutive steady-loop iterations are provably identical on a
-  draw-free platform, the remaining ones are fast-forwarded analytically
-  instead of re-simulated.
 * :mod:`repro.perf.fastcollect` — analytic collective fast-forward:
   whole collective phases complete through one pre-triggered event
   priced from per-communicator caches (with vectorized size-sweep
@@ -24,8 +20,11 @@ without changing any result:
 from repro.perf.fastcollect import (
     FastCollect,
     FastCollectReport,
+    deterministic_variant,
     fastcollect_enabled,
     fastcollect_scope,
+    perf_banner,
+    perturbation_reason,
 )
 from repro.perf.memo import (
     CollectiveMemo,
@@ -33,24 +32,11 @@ from repro.perf.memo import (
     default_memo,
     memo_stats,
 )
-from repro.perf.replay import (
-    LoopStats,
-    ReplayRecorder,
-    ReplayReport,
-    deterministic_variant,
-    perf_banner,
-    perturbation_reason,
-    replay_enabled,
-    replay_scope,
-)
 
 __all__ = [
     "CollectiveMemo",
     "FastCollect",
     "FastCollectReport",
-    "LoopStats",
-    "ReplayRecorder",
-    "ReplayReport",
     "clear_default_memo",
     "default_memo",
     "deterministic_variant",
@@ -59,6 +45,4 @@ __all__ = [
     "memo_stats",
     "perf_banner",
     "perturbation_reason",
-    "replay_enabled",
-    "replay_scope",
 ]

@@ -1,9 +1,9 @@
 """Engine dispatch-throughput microbenchmark (``repro bench engine``).
 
-Measures events dispatched per second on four archetypal workloads —
-timeout-heavy, point-to-point ping-pong, a compute/allreduce collective
-cadence (fast-forward on), and a replay-enabled NPB steady loop — so the
-sim-layer fast paths have dedicated before/after numbers.  The same
+Measures events dispatched per second on three archetypal workloads —
+timeout-heavy, point-to-point ping-pong, and a compute/allreduce
+collective cadence (fast-forward on) — so the sim-layer fast paths have
+dedicated before/after numbers.  The same
 workloads back three consumers:
 
 * ``python -m repro bench engine`` writes ``BENCH_engine.json``, can
@@ -11,8 +11,8 @@ workloads back three consumers:
   per-run trajectory rows to ``BENCH_history.jsonl``
   (``--append-history``);
 * ``benchmarks/bench_arrivef_throughput.py`` runs them under pytest;
-* the replay and collectives workloads additionally record how many
-  engine events their fast-forward layers eliminate (``events_ratio``).
+* the collectives workload additionally records how many engine events
+  the collective fast-forward eliminates (``events_ratio``).
 
 Wall-clock timing here is host-side measurement of the simulator, not
 simulated time, hence the ``DET001`` lint waivers.
@@ -26,13 +26,6 @@ import time
 import typing as _t
 
 from repro.errors import ConfigError
-
-#: Replay-workload shape: CG class B on a quiet Vayu variant, iteration
-#: count high enough that fast-forward dominates.
-REPLAY_BENCH = "cg"
-REPLAY_NPROCS = 16
-REPLAY_SIM_ITERS = 16
-REPLAY_SEED = 7
 
 #: CI guard tolerance: a workload may lose up to this fraction of its
 #: baseline events/sec before the check fails (shared runners are noisy).
@@ -96,7 +89,7 @@ def _collective_phases(fastcollect: bool) -> tuple[_t.Any, _t.Any]:
     ``fastcollect`` is passed explicitly so ``REPRO_FASTCOLLECT`` can
     never skew the benchmark's on/off comparison.
     """
-    from repro.perf.replay import deterministic_variant
+    from repro.perf.fastcollect import deterministic_variant
     from repro.platforms import get_platform
     from repro.smpi.world import MpiWorld
 
@@ -107,9 +100,7 @@ def _collective_phases(fastcollect: bool) -> tuple[_t.Any, _t.Any]:
             yield from comm.allreduce(nbytes, value=1.0)
 
     spec = deterministic_variant(get_platform("vayu"))
-    world = MpiWorld(
-        spec, COLLECT_NPROCS, seed=7, replay=False, fastcollect=fastcollect
-    )
+    world = MpiWorld(spec, COLLECT_NPROCS, seed=7, fastcollect=fastcollect)
     result = world.launch(loop, COLLECT_REPS, COLLECT_NBYTES)
     return world.engine, result
 
@@ -120,59 +111,20 @@ def workload_collectives() -> _t.Any:
     return engine
 
 
-def _replay_cg(replay: bool) -> tuple[_t.Any, _t.Any]:
-    """One CG steady-loop run with replay forced on or off."""
-    from repro.npb import get_benchmark
-    from repro.perf.replay import deterministic_variant
-    from repro.platforms import get_platform
-    from repro.smpi.world import MpiWorld
-
-    bench = get_benchmark(REPLAY_BENCH, sim_iters=REPLAY_SIM_ITERS)
-    spec = deterministic_variant(get_platform("vayu"))
-    world = MpiWorld(
-        spec, REPLAY_NPROCS, seed=REPLAY_SEED, replay=replay, fastcollect=False
-    )
-    result = world.launch(bench.make_program())
-    return world.engine, result
-
-
-def workload_replay() -> _t.Any:
-    """The replay-enabled NPB steady loop (iteration fast-forward on)."""
-    engine, _result = _replay_cg(True)
-    return engine
-
-
 #: workload -> (runner, minimum events for a meaningful rate).  A
 #: collective dispatches only a couple of engine events per operation
 #: (its cost is analytic), so its floor is lower than the p2p/timeout
-#: workloads where every hop is an event; the replay workload's floor is
-#: lower still because fast-forward removes most of its events.
+#: workloads where every hop is an event.
 WORKLOADS: dict[str, tuple[_t.Callable[[], _t.Any], int]] = {
     "timeouts": (workload_timeouts, 10_000),
     "p2p": (workload_p2p, 10_000),
     "collectives": (workload_collectives, 4_000),
-    "replay": (workload_replay, 2_000),
 }
 
 
 # ---------------------------------------------------------------------------
 # Measurement
 # ---------------------------------------------------------------------------
-
-def replay_event_counts() -> dict[str, float]:
-    """Replay's event-elimination figures: the same CG run with the
-    fast-forward off and on, and the resulting dispatch ratio."""
-    full_engine, _ = _replay_cg(False)
-    replay_engine, result = _replay_cg(True)
-    report = result.replay
-    return {
-        "full_events": full_engine.dispatched,
-        "replay_events": replay_engine.dispatched,
-        "events_ratio": full_engine.dispatched / replay_engine.dispatched,
-        "replayed_iters": 0 if report is None else report.replayed_iters,
-        "sim_iters": REPLAY_SIM_ITERS,
-    }
-
 
 def collective_event_counts() -> dict[str, float]:
     """The collective fast-forward's event-elimination figures: the same
@@ -220,8 +172,9 @@ def run_engine_bench(
 
     ``reps > 1`` repeats each workload and keeps the fastest rep (the
     standard defence against cold caches and noisy neighbours — the
-    first rep doubles as warm-up).  The replay row additionally carries
-    the event-elimination figures from :func:`replay_event_counts`.
+    first rep doubles as warm-up).  The collectives row additionally
+    carries the event-elimination figures from
+    :func:`collective_event_counts`.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1: {reps}")
@@ -234,9 +187,7 @@ def run_engine_bench(
             if best is None or row["events_per_sec"] > best["events_per_sec"]:
                 best = row
         assert best is not None
-        if name == "replay":
-            best.update(replay_event_counts())
-        elif name == "collectives":
+        if name == "collectives":
             best.update(collective_event_counts())
         rows[name] = best
     return rows
@@ -342,14 +293,9 @@ def render_rows(rows: dict[str, dict[str, float]]) -> str:
     for name, row in sorted(rows.items()):
         line = f"{name:<12} {row['events_per_sec']:>12,.0f} ev/s  ({row['events']:,.0f} events)"
         if "events_ratio" in row:
-            line += f"  [fast-forward {row['events_ratio']:.1f}x fewer events"
-            if "sim_iters" in row:
-                line += (
-                    f", {row['replayed_iters']:.0f}/{row['sim_iters']:.0f} "
-                    f"iters replayed"
-                )
-            elif "fast_ops" in row:
-                line += f", {row['fast_ops']:.0f} collectives fast-forwarded"
-            line += "]"
+            line += (
+                f"  [fast-forward {row['events_ratio']:.1f}x fewer events, "
+                f"{row['fast_ops']:.0f} collectives fast-forwarded]"
+            )
         lines.append(line)
     return "\n".join(lines)

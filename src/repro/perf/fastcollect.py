@@ -12,8 +12,7 @@ of that gap by fast-forwarding whole collective *phases*:
 
 * **Closed-form completion** — the completing rank computes the phase's
   absolute completion time arithmetically and pre-triggers the shared
-  event for that instant (:meth:`~repro.sim.events.Event.schedule_at`,
-  the same machinery behind ``Engine.wake_at`` / iteration replay):
+  event for that instant (:meth:`~repro.sim.events.Event.schedule_at`):
   one heap entry per collective instead of a timeout + trigger pair.
 * **Cached phase pricing** — the context, the per-``(memo_key, nbytes)``
   duration, the per-rank compute cost and the IPM accounting buckets of
@@ -31,11 +30,12 @@ Byte identity
 Fast-forwarding is a pure optimization: per-rank wake times, IPM
 counters and rendered reports are bit-identical to the per-operation
 path.  That only holds when nothing observes or perturbs the skipped
-per-event execution, so the fast path shares replay's disqualifier
-(:func:`repro.perf.replay.perturbation_reason`): a sanitizer, a fault
+per-event execution (:func:`perturbation_reason`): a sanitizer, a fault
 schedule, timeline tracing, the engine tracer, or a platform that
 samples randomness per message/burst all force the per-operation path,
-with the reason recorded in the :class:`FastCollectReport`.  Ad-hoc
+with the reason recorded in the :class:`FastCollectReport`.  Every
+registered paper platform samples OS noise, so the fast path engages
+only on quietened clones (:func:`deterministic_variant`).  Ad-hoc
 collectives with no ``memo_key`` (cost not determined by
 ``(ctx, nbytes)``) also take the per-operation path.
 
@@ -55,17 +55,17 @@ import typing as _t
 
 from repro.errors import ConfigError, MpiError
 from repro.ipm.monitor import CallKey
-from repro.perf.replay import perturbation_reason
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.ipm.monitor import CallStats, RankProfile
+    from repro.platforms.base import PlatformSpec
     from repro.sim.events import Event
     from repro.smpi.collectives.algorithms import CollectiveContext
     from repro.smpi.comm import Comm
     from repro.smpi.world import MpiWorld
 
 #: Environment variable enabling the fast path (inherited by ``--jobs``
-#: pool workers, mirroring ``REPRO_REPLAY`` / ``REPRO_SANITIZE``).
+#: pool workers, mirroring ``REPRO_SANITIZE`` / ``REPRO_FAULTS``).
 ENV_FLAG = "REPRO_FASTCOLLECT"
 
 
@@ -106,6 +106,82 @@ def fastcollect_scope(enabled: bool = True) -> _t.Iterator[list["FastCollectRepo
 def _note_report(report: "FastCollectReport") -> None:
     if _SCOPE_REPORTS is not None:
         _SCOPE_REPORTS.append(report)  # lint-ok: DET007 scope-local report collection, never in results
+
+
+def perturbation_reason(world: "MpiWorld") -> str | None:
+    """Why analytic fast-forwarding must not engage on ``world``.
+
+    Any observer or perturbation of the per-event execution — the MPI
+    sanitizer, an armed fault schedule, timeline tracing, the engine
+    tracer, or a platform that samples randomness per
+    message/computation — means skipping events would change what is
+    observed or sampled.  Returns ``None`` when every cost is draw-free
+    and unobserved.
+    """
+    if world.sanitizer is not None:
+        return "MPI sanitizer attached"
+    if world.fault_injector is not None:
+        return "fault schedule installed"
+    if world.timeline is not None:
+        return "timeline tracing enabled"
+    if world.engine.tracer is not None:
+        return "engine tracer attached"
+    return world.platform.stochastic_reason()
+
+
+def deterministic_variant(
+    spec: "PlatformSpec", name: str | None = None
+) -> "PlatformSpec":
+    """A draw-free clone of ``spec``: zeroed OS noise, bare-metal
+    hypervisor, no masked-NUMA burst noise.
+
+    Every registered paper platform is stochastic (even Vayu's quiet HPC
+    node draws ~0.2% OS noise per burst), so this is how tests and
+    microbenchmarks obtain a platform the fast path can actually engage
+    on.  The clone is a *different* platform — its timings drop the
+    noise — which is exactly why the fast path never silently
+    substitutes it.
+    """
+    from repro.virt.hypervisor import NoHypervisor
+    from repro.virt.jitter import OsNoiseModel
+
+    return dataclasses.replace(
+        spec,
+        name=name if name is not None else f"{spec.name}-det",
+        noise=OsNoiseModel(frac=0.0, spike_prob=0.0, spike_seconds=0.0),
+        numa_burst_noise=0.0,
+        hypervisor_factory=NoHypervisor,
+    )
+
+
+def perf_banner(reports: _t.Sequence["FastCollectReport"]) -> str:
+    """The ``[perf: ...]`` batch-banner line: memo cache + collective
+    fast-forward stats.
+
+    ``reports`` is the list collected by :func:`fastcollect_scope`.
+    """
+    from repro.perf.memo import memo_stats
+
+    stats = memo_stats()
+    lookups = stats.hits + stats.misses
+    if lookups:
+        memo_part = f"memo {stats.hit_rate:.0%} hit ({stats.hits}/{lookups})"
+    else:
+        memo_part = "memo idle"
+    ops = sum(r.fast_ops + r.slow_ops for r in reports)
+    if not reports:
+        fc_part = "fastcollect saw no worlds"
+    elif ops:
+        fast = sum(r.fast_ops for r in reports)
+        fc_part = f"fastcollect {fast}/{ops} collectives fast-forwarded"
+        fallbacks = sum(1 for r in reports if not r.active)
+        if fallbacks:
+            fc_part += f" · {fallbacks}/{len(reports)} world(s) fell back"
+    else:
+        reasons = sorted({r.reason for r in reports if r.reason is not None})
+        detail = f": {reasons[0]}" if reasons else ""
+        fc_part = f"fastcollect idle across {len(reports)} world(s){detail}"
+    return f"perf: {memo_part} · {fc_part}"
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -187,10 +263,10 @@ class _CommCache:
 class FastCollect:
     """Per-world closed-form collective dispatcher.
 
-    Constructed last in ``MpiWorld.__init__`` (alongside the replay
-    recorder) so every disqualifier is already known; when one applies
-    the instance is *inactive* — every collective takes the
-    per-operation path and the report merely records why.
+    Constructed last in ``MpiWorld.__init__`` so every disqualifier is
+    already known; when one applies the instance is *inactive* — every
+    collective takes the per-operation path and the report merely
+    records why.
     """
 
     def __init__(self, world: "MpiWorld") -> None:

@@ -313,18 +313,17 @@ class Platform:
             noisy += self.fault_hooks.stolen_extra(self.engine.now, base)
         return noisy
 
-    # -- replay safety ------------------------------------------------------
-    def replay_unsafe_reason(self) -> str | None:
-        """Why iteration replay must not engage here, or ``None`` if safe.
+    # -- stochasticity ------------------------------------------------------
+    def stochastic_reason(self) -> str | None:
+        """Why some cost here samples randomness, or ``None`` if draw-free.
 
-        Replay (:mod:`repro.perf.replay`) extrapolates one captured
-        steady-state iteration; that is only sound when every cost on
-        this platform is a pure function of its inputs.  Any sampled
+        The collective fast-forward (:mod:`repro.perf.fastcollect`)
+        skips per-event execution, which is only sound when every cost
+        on this platform is a pure function of its inputs.  Any sampled
         perturbation — OS noise, hypervisor jitter, masked-NUMA burst
-        noise, fault windows — makes iterations genuinely distinct, so
-        the recorder stays off and every iteration is simulated.
-        Call after placement: per-rank noise amplitudes are resolved by
-        :meth:`finalize_placement`.
+        noise, fault windows — would be drawn differently, so the fast
+        path stays off.  Call after placement: per-rank noise amplitudes
+        are resolved by :meth:`finalize_placement`.
         """
         noise = self.spec.noise
         if noise.frac != 0.0 or noise.spike_prob != 0.0:
@@ -336,10 +335,6 @@ class Platform:
         if self.fault_hooks is not None:
             return "fault-injection hooks are installed"
         return None
-
-    def replay_safe(self) -> bool:
-        """True when every performance model here is draw-free."""
-        return self.replay_unsafe_reason() is None
 
     def net_extra_latency(self) -> float:
         """Sample the hypervisor's extra network latency for one message."""

@@ -187,23 +187,6 @@ class Engine:
         ev.add_callback(lambda _ev: fn())
         return ev
 
-    def wake_at(self, when: float, value: _t.Any = None) -> Event:
-        """An event firing at *absolute* simulated time ``when`` (>= now).
-
-        The bulk clock-advance primitive behind iteration replay
-        (:mod:`repro.perf.replay`): a process yields one ``wake_at`` and
-        resumes exactly at ``when``, replacing an entire iteration's worth
-        of heap traffic.  Unlike ``timeout(when - now)`` the event lands
-        on ``when`` itself — no ``now + (when - now)`` float round trip —
-        so a replayed clock hits the analytically accumulated target
-        bit-for-bit.
-        """
-        if when < self.now:
-            raise SimulationError(
-                f"wake_at({when!r}) is in the past (now={self.now!r})"
-            )
-        return Event(self, "wake_at").schedule_at(when, value)
-
     def _deadlock(self) -> DeadlockError:
         """Build the error for a drained queue with blocked processes."""
         if self.deadlock_factory is not None:

@@ -94,8 +94,8 @@ class Event:
         (``value`` is already decided) but its waiters wake only when the
         clock reaches ``when`` — exactly one heap entry, landing on
         ``when`` itself with no ``now + (when - now)`` float round trip.
-        Both :meth:`Engine.wake_at` (iteration replay) and the collective
-        fast-forward (:mod:`repro.perf.fastcollect`) are built on it.
+        The collective fast-forward (:mod:`repro.perf.fastcollect`) is
+        built on it.
         """
         if self._value is not _PENDING or self._exc is not None:
             raise SimulationError(f"event {self!r} already triggered")

@@ -184,42 +184,6 @@ class Comm:
         finally:
             profile.exit(name, self.engine.now)
 
-    # -- steady-loop marking (iteration replay) ------------------------------------
-    def iteration_scope(
-        self,
-        it: int,
-        total: int,
-        body: _t.Callable[[], _t.Generator],
-        label: str = "steady",
-    ) -> _t.Generator:
-        """Run iteration ``it`` of a ``total``-iteration steady loop.
-
-        ``body`` is a zero-argument callable returning the iteration's
-        generator; with no replay recorder attached this is exactly
-        ``yield from body()``.  With an active recorder
-        (:class:`~repro.perf.replay.ReplayRecorder`) the first few
-        iterations are simulated and captured, and once every rank's
-        consecutive captures match, the remaining iterations are
-        fast-forwarded analytically — see :mod:`repro.perf.replay`.
-        ``label`` keys the loop (so e.g. an OSU warm-up phase and its
-        timed phase are judged independently); all ranks of the
-        communicator must mark the same loops with the same labels.
-        """
-        recorder = self.world.replay
-        if recorder is None or not recorder.active:
-            yield from body()
-            return None
-        session = recorder.session(self, label, total)
-        action = session.begin(self, it)
-        if action == "skip":
-            return None
-        if action == "replay":
-            yield from session.fast_forward(self, it)
-            return None
-        result = yield from body()
-        session.capture(self, it)
-        return result
-
     # -- point-to-point ---------------------------------------------------------------
     def isend(
         self, dest: int, nbytes: int, tag: int = 0, payload: _t.Any = None

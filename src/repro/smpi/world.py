@@ -29,7 +29,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.report import ResilienceReport
     from repro.faults.schedule import FaultSchedule
     from repro.perf.fastcollect import FastCollectReport
-    from repro.perf.replay import ReplayReport
     from repro.smpi.comm import Comm
 
 
@@ -80,17 +79,6 @@ class MpiWorld:
         installs a :class:`~repro.faults.FaultInjector`; with no
         schedule every fault hook is a pure pass-through and the run is
         bit-identical to one built before the fault layer existed.
-    replay:
-        Attach the steady-state iteration recorder
-        (:class:`~repro.perf.replay.ReplayRecorder`): marked steady
-        loops whose iterations prove stationary on a draw-free platform
-        are fast-forwarded analytically instead of re-simulated.
-        ``None`` (the default) defers to the scope/env default
-        (:func:`repro.perf.replay.replay_enabled`).  The recorder
-        auto-falls-back to full simulation whenever the sanitizer, the
-        fault injector, tracing or a stochastic platform model is
-        present — replay is a pure optimization, never a semantics
-        change.
     fastcollect:
         Attach the analytic collective fast-forward
         (:class:`~repro.perf.fastcollect.FastCollect`): collectives on a
@@ -99,9 +87,9 @@ class MpiWorld:
         per-operation path, with byte-identical wake times and IPM
         counters.  ``None`` (the default) defers to the scope/env
         default (:func:`repro.perf.fastcollect.fastcollect_enabled`).
-        Shares replay's auto-fallback discipline (sanitizer, faults,
-        tracing, stochastic platforms ⇒ per-operation path with a
-        recorded reason).
+        Falls back automatically (sanitizer, faults, tracing,
+        stochastic platforms ⇒ per-operation path with a recorded
+        reason).
     """
 
     def __init__(
@@ -114,7 +102,6 @@ class MpiWorld:
         memo: CollectiveMemo | None = None,
         sanitize: bool | None = None,
         faults: "FaultSchedule | str | None" = None,
-        replay: bool | None = None,
         fastcollect: bool | None = None,
     ) -> None:
         if isinstance(platform, PlatformSpec):
@@ -153,15 +140,9 @@ class MpiWorld:
         from repro.ipm.timeline import Timeline
 
         self.timeline = Timeline(nprocs) if timeline else None
-        # The replay recorder is constructed last so every disqualifier
-        # (sanitizer, injector, timeline, engine tracer) is already known.
-        from repro.perf.replay import ReplayRecorder, replay_enabled
-
-        if replay is None:
-            replay = replay_enabled()
-        self.replay = ReplayRecorder(self) if replay else None
-        # The collective fast-forward shares the recorder's disqualifier
-        # and is likewise constructed after every observer/perturber.
+        # The collective fast-forward is constructed last so every
+        # disqualifier (sanitizer, injector, timeline, engine tracer) is
+        # already known.
         from repro.perf.fastcollect import FastCollect, fastcollect_enabled
 
         if fastcollect is None:
@@ -480,9 +461,6 @@ class MpiWorld:
             rank_results=[p.value for p in procs],
             sanitizer_report=report,
             resilience=injector.finalize_report() if injector is not None else None,
-            replay=(
-                self.replay.finalize_report() if self.replay is not None else None
-            ),
             fastcollect=(
                 self.fastcollect.finalize_report()
                 if self.fastcollect is not None
@@ -502,9 +480,6 @@ class RunResult:
     sanitizer_report: "SanitizerReport | None" = None
     #: What the fault layer injected (None when no schedule was installed).
     resilience: "ResilienceReport | None" = None
-    #: What the iteration recorder captured/fast-forwarded (None when
-    #: replay was not requested for this world).
-    replay: "ReplayReport | None" = None
     #: What the collective fast-forward did (None when not requested).
     fastcollect: "FastCollectReport | None" = None
 

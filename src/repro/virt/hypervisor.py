@@ -33,8 +33,9 @@ class Hypervisor:
     system_time_share: float = 0.1
     #: Whether this layer's perturbations are draw-free.  Concrete
     #: hypervisors that sample per-message or per-burst jitter set this
-    #: False; iteration replay (:mod:`repro.perf.replay`) only engages
-    #: on platforms whose every cost is a pure function of its inputs.
+    #: False; the collective fast-forward (:mod:`repro.perf.fastcollect`)
+    #: only engages on platforms whose every cost is a pure function of
+    #: its inputs.
     deterministic: bool = True
 
     def net_extra_latency(self, rng: np.random.Generator) -> float:

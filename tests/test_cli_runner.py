@@ -19,6 +19,10 @@ class TestRunner:
         with pytest.raises(ConfigError):
             run_batch(["nope"])
 
+    def test_replay_keyword_accepts_only_none(self):
+        with pytest.raises(ConfigError, match="replay"):
+            run_batch(["tab1"], replay=True)
+
     def test_comparison_rows_have_deltas(self):
         batch = run_batch(["fig3"], quick=True, seed=1)
         rows = batch.comparison_rows()

@@ -15,10 +15,11 @@ from repro.errors import ConfigError, MpiError, SimulationError
 from repro.harness.runner import run_batch
 from repro.perf.fastcollect import (
     FastCollectReport,
+    deterministic_variant,
     fastcollect_enabled,
     fastcollect_scope,
+    perf_banner,
 )
-from repro.perf.replay import deterministic_variant, perf_banner
 from repro.platforms import VAYU, all_platforms, get_platform
 from repro.platforms.base import Platform
 from repro.sim.engine import Engine
@@ -73,7 +74,7 @@ def _sweep_program(comm, call):
 
 
 def _run_sweep(name: str, nprocs: int, fastcollect: bool):
-    world = MpiWorld(QUIET, nprocs, seed=11, replay=False, fastcollect=fastcollect)
+    world = MpiWorld(QUIET, nprocs, seed=11, fastcollect=fastcollect)
     result = world.launch(_sweep_program, COLLECTIVE_CALLS[name])
     return world, result
 
@@ -117,7 +118,7 @@ class TestEquivalence:
 
         runs = {}
         for fc in (False, True):
-            world = MpiWorld(QUIET, 4, seed=2, replay=False, fastcollect=fc)
+            world = MpiWorld(QUIET, 4, seed=2, fastcollect=fc)
             runs[fc] = world.launch(program)
         assert runs[True].rank_results == runs[False].rank_results
         assert all(
@@ -139,7 +140,7 @@ class TestEquivalence:
 
         runs = {}
         for fc in (False, True):
-            world = MpiWorld(QUIET, 8, seed=3, replay=False, fastcollect=fc)
+            world = MpiWorld(QUIET, 8, seed=3, fastcollect=fc)
             runs[fc] = world.launch(program)
         assert runs[True].rank_results == runs[False].rank_results
         report = runs[True].fastcollect
@@ -153,7 +154,7 @@ class TestEquivalence:
 
         runs = {}
         for fc in (False, True):
-            world = MpiWorld(QUIET, 4, seed=5, replay=False, fastcollect=fc)
+            world = MpiWorld(QUIET, 4, seed=5, fastcollect=fc)
             runs[fc] = world.launch(program)
         assert runs[True].rank_results == runs[False].rank_results
         report = runs[True].fastcollect
@@ -166,7 +167,7 @@ class TestEquivalence:
             else:
                 yield from comm.allreduce(8, value=1.0)
 
-        world = MpiWorld(QUIET, 2, seed=1, replay=False, fastcollect=True)
+        world = MpiWorld(QUIET, 2, seed=1, fastcollect=True)
         with pytest.raises(MpiError, match="in flight"):
             world.launch(program)
 
@@ -222,14 +223,10 @@ class TestVectorized:
                 out.append(comm.wtime())
             return (first, out)
 
-        world = MpiWorld(QUIET, 8, seed=4, replay=False, fastcollect=True)
+        world = MpiWorld(QUIET, 8, seed=4, fastcollect=True)
         primed = world.launch(program, True)
-        unprimed = MpiWorld(
-            QUIET, 8, seed=4, replay=False, fastcollect=True
-        ).launch(program, False)
-        slow = MpiWorld(
-            QUIET, 8, seed=4, replay=False, fastcollect=False
-        ).launch(program, False)
+        unprimed = MpiWorld(QUIET, 8, seed=4, fastcollect=True).launch(program, False)
+        slow = MpiWorld(QUIET, 8, seed=4, fastcollect=False).launch(program, False)
         assert [r[1] for r in primed.rank_results] == [r[1] for r in slow.rank_results]
         assert [r[1] for r in primed.rank_results] == [
             r[1] for r in unprimed.rank_results
@@ -241,7 +238,7 @@ class TestVectorized:
             comm.prime_collectives("warp", [8])
             yield from comm.barrier()
 
-        world = MpiWorld(QUIET, 2, seed=1, replay=False, fastcollect=True)
+        world = MpiWorld(QUIET, 2, seed=1, fastcollect=True)
         with pytest.raises(ConfigError, match="no vectorized cost model"):
             world.launch(program)
 
@@ -250,11 +247,9 @@ class TestVectorized:
             assert comm.prime_collectives("allreduce", SIZES) == 0
             yield from comm.barrier()
 
-        MpiWorld(QUIET, 2, seed=1, replay=False, fastcollect=False).launch(program)
+        MpiWorld(QUIET, 2, seed=1, fastcollect=False).launch(program)
         # Inactive (stochastic platform): also a no-op, not an error.
-        MpiWorld(
-            get_platform("vayu"), 2, seed=1, replay=False, fastcollect=True
-        ).launch(program)
+        MpiWorld(get_platform("vayu"), 2, seed=1, fastcollect=True).launch(program)
 
 
 class TestFallback:
@@ -387,7 +382,7 @@ class TestScopeAndReporting:
 
         with fastcollect_scope(True) as reports:
             assert fastcollect_enabled()
-            MpiWorld(QUIET, 2, seed=1, replay=False).launch(program)
+            MpiWorld(QUIET, 2, seed=1).launch(program)
         assert len(reports) == 1
         assert reports[0].active and reports[0].fast_ops == 1
         assert not fastcollect_enabled()
@@ -400,15 +395,13 @@ class TestScopeAndReporting:
     def test_perf_banner_segments(self):
         active = FastCollectReport(True, None, 10, 2)
         idle = FastCollectReport(False, "stochastic noise model", 0, 0)
-        banner = perf_banner(None, fastcollect=[active])
+        banner = perf_banner([active])
         assert banner.startswith("perf: ")
         assert "fastcollect 10/12 collectives fast-forwarded" in banner
-        mixed = perf_banner(None, fastcollect=[active, idle])
+        mixed = perf_banner([active, idle])
         assert "1/2 world(s) fell back" in mixed
-        assert "stochastic noise model" in perf_banner(None, fastcollect=[idle])
-        assert "saw no worlds" in perf_banner(None, fastcollect=[])
-        # The legacy replay-only call renders exactly as before.
-        assert "fastcollect" not in perf_banner([])
+        assert "stochastic noise model" in perf_banner([idle])
+        assert "saw no worlds" in perf_banner([])
 
     def test_cli_flags_parse(self):
         from repro.cli import build_parser
@@ -440,6 +433,17 @@ class TestBatchIntegration:
 
 
 class TestBenchHistory:
+    def test_baseline_check(self):
+        from repro.perf.enginebench import check_against_baseline
+
+        rows = {"p2p": {"events_per_sec": 65_000.0}}
+        base = {"p2p": {"events_per_sec": 100_000.0},
+                "other": {"events_per_sec": 1.0}}
+        assert check_against_baseline(rows, base, tolerance=0.30)
+        assert not check_against_baseline(rows, base, tolerance=0.40)
+        with pytest.raises(ConfigError):
+            check_against_baseline(rows, base, tolerance=1.5)
+
     def test_append_history_round_trip(self, tmp_path):
         from repro.perf.enginebench import append_history
 

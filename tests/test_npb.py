@@ -127,6 +127,23 @@ class TestBenchResults:
         assert a == b
 
 
+class TestBatchSimIters:
+    def test_sim_iters_validation(self):
+        from repro.harness.runner import run_batch
+
+        with pytest.raises(ConfigError):
+            run_batch(["tab1"], sim_iters=0)
+
+    def test_sim_iters_reaches_benchmark(self):
+        from repro.harness.parallel import npb_point
+        from repro.platforms import get_platform
+
+        point = npb_point("cg", "vayu", 2, 0, "B", 6)
+        direct = get_benchmark("cg", sim_iters=6).run(get_platform("vayu"), 2, seed=0)
+        assert point["projected_time"] == direct.projected_time
+        assert point["per_iter_time"] == direct.per_iter_time
+
+
 class TestPaperShapes:
     """The qualitative Fig 3/4 and Table II claims, as assertions."""
 
